@@ -96,9 +96,9 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError("model", f"unknown model {self.model!r}; expected one of {MODELS}")
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise ConfigError("n", f"dimension must be a positive integer, got {self.n!r}")
-        if not isinstance(self.k, int) or self.k < 2:
+        if type(self.k) is not int or self.k < 2:
             raise ConfigError("k", f"order must be an integer >= 2, got {self.k!r}")
         if self.model in _MATRIX_ONLY and self.k != 2:
             raise ConfigError("k", f"model {self.model!r} is a matrix model; k must be 2")
@@ -106,7 +106,7 @@ class EnsembleSpec:
             raise ConfigError("strength", f"strength must be a finite number, got {self.strength!r}")
         if self.strength < 0:
             raise ConfigError("strength", f"strength must be >= 0, got {self.strength}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= _M64:
+        if type(self.seed) is not int or not 0 <= self.seed <= _M64:
             raise ConfigError("seed", f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.model == "hidden_clique":
             L = self.strength

@@ -4,8 +4,10 @@ The overlap of a uniform unit vector with any fixed direction has density
 proportional to (1 - t^2)^((n-3)/2) on [-1, 1]. Everything here that
 integrates against that density substitutes t = sin(theta) first: the
 integrand becomes cos(theta)^(n-2) times a smooth factor on
-[-pi/2, pi/2], which kills the n = 2 endpoint singularity and makes the
-trapezoid rule converge spectrally fast (endpoint derivatives vanish).
+[-pi/2, pi/2], which kills the n = 2 endpoint singularity. Gauss-Legendre
+nodes in theta converge fast for every n. The trapezoid rule is spectrally
+accurate only for even n; for odd n an odd endpoint derivative survives
+(cos(theta) itself at n = 3) and it converges algebraically.
 
 Second moments of the likelihood ratio are computed self-normalized: the
 numerator and the density normalization use the same nodes and weights, so
@@ -15,10 +17,10 @@ shared quadrature error cancels and zero signal strength returns exactly 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import logsumexp, roots_legendre
+from scipy.special import ive, logsumexp, roots_legendre
 
 from .ensembles import (
     STREAM_TEST,
@@ -33,18 +35,19 @@ from .spectra import eigvals_sym, ks_distance
 from .tensors import DenseTensor, frobenius, operator_norm_lb
 
 _LOG_TOL_1D = 1e-10
+_ASYM_NODES = {2: tuple(2**p for p in range(4, 13)), 3: tuple(2**p for p in range(4, 12))}
 _MC_STREAM = 5
 _TV_VACUOUS = "vacuous"
 
 
 def _check_dim(n) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 2:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
         raise ContractError(f"dimension n must be an integer >= 2, got {n!r}")
     return int(n)
 
 
 def _check_order(k) -> int:
-    if not isinstance(k, (int, np.integer)) or not 2 <= k <= 10:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 2 <= k <= 10:
         raise ContractError(f"order k must be an integer in [2, 10], got {k!r}")
     return int(k)
 
@@ -80,6 +83,29 @@ def _log_trapezoid(values: np.ndarray, h: float) -> float:
     return float(logsumexp(values + w)) + math.log(h)
 
 
+def _refine_theta(log_integral, lo, hi, sizes, relative):
+    """Gauss-Legendre in theta on [lo, hi], node counts from ``sizes``.
+
+    ``log_integral(theta, log_w)`` gets the nodes and the log weights on
+    [-1, 1]. Stops once two values differ by at most 1e-10, times
+    max(1, |value|) if ``relative``. Returns value, increment and nodes.
+    """
+    half = 0.5 * (hi - lo)
+    prev = None
+    for m in sizes:
+        x, w = roots_legendre(m)
+        cur = log_integral(0.5 * (hi + lo) + half * x, np.log(w))
+        if prev is not None:
+            err = abs(cur - prev)
+            if err <= _LOG_TOL_1D * (max(1.0, abs(cur)) if relative else 1.0):
+                return cur, err, m
+        prev = cur
+    raise NumericalFailure(
+        "Gauss-Legendre quadrature did not stabilize",
+        partial={"log_value": prev, "quadrature_error": err},
+    )
+
+
 def first_coord_tail_logprob(a: float, n: int) -> float:
     """log P(first coordinate >= a), by log-space Gauss-Legendre in theta.
 
@@ -87,6 +113,8 @@ def first_coord_tail_logprob(a: float, n: int) -> float:
     maximum, so the interval is first cut where the log integrand has
     fallen by 140 (a relative exp(-140) truncation), then Gauss-Legendre
     node counts are doubled until the log value moves by less than 1e-10.
+    For a >= 0 the value is capped at the exact bound log(1/2) and negative
+    a goes through the complement, which keeps the result monotone in a.
     """
     n = _check_dim(n)
     if not math.isfinite(a) or abs(a) > 1.0:
@@ -95,25 +123,18 @@ def first_coord_tail_logprob(a: float, n: int) -> float:
         return float("-inf")
     if a == -1.0:
         return 0.0
-    lo = math.asin(a)
-    hi = math.pi / 2.0
+    if a < 0.0:
+        return math.log1p(-math.exp(first_coord_tail_logprob(-a, n)))
+    lo, hi = math.asin(a), math.pi / 2.0
     if n > 3:
-        peak_cos = 1.0 if lo < 0.0 else math.cos(lo)
-        hi = min(hi, math.acos(peak_cos * math.exp(-140.0 / (n - 2))))
-    lc = log_cn(n)
-    prev = None
-    for m in (128, 256, 512, 1024, 2048, 4096):
-        x, w = roots_legendre(m)
-        half = 0.5 * (hi - lo)
-        theta = 0.5 * (hi + lo) + half * x
-        vals = lc + (n - 2) * np.log(np.cos(theta)) + np.log(w)
-        cur = float(logsumexp(vals)) + math.log(half)
-        if prev is not None and abs(cur - prev) <= _LOG_TOL_1D:
-            return cur
-        prev = cur
-    raise NumericalFailure(
-        "tail probability quadrature did not stabilize", partial={"log_prob": prev}
-    )
+        hi = min(hi, math.acos(math.cos(lo) * math.exp(-140.0 / (n - 2))))
+    lc, log_half = log_cn(n), math.log(0.5 * (hi - lo))
+
+    def log_tail(theta, log_w):
+        return float(logsumexp(lc + (n - 2) * np.log(np.cos(theta)) + log_w)) + log_half
+
+    log_p = _refine_theta(log_tail, lo, hi, (128, 256, 512, 1024, 2048, 4096), False)[0]
+    return min(log_p, -math.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -137,17 +158,7 @@ class SecondMomentResult:
     nodes: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "k": self.k,
-            "n": self.n,
-            "strength": self.strength,
-            "log_second_moment": self.log_second_moment,
-            "quadrature_error": self.quadrature_error,
-            "implied_tv_upper": self.implied_tv_upper,
-            "method": self.method,
-            "nodes": self.nodes,
-        }
+        return asdict(self)
 
 
 def _implied_tv(log_sm: float):
@@ -218,85 +229,62 @@ def second_moment_sym(beta: float, n: int, k: int) -> SecondMomentResult:
     )
 
 
-def _asym_safe_radius(lam: float, n: int, k: int):
-    """Largest-coordinate cutoff outside which the overlap mass is negligible.
+# Debye's u_k(p) = p^k P_k(p^2), k = 1..4 (DLMF 10.41.10), P_k highest power first
+_DEBYE = (
+    (-5 / 24, 1 / 8),
+    (385 / 1152, -77 / 192, 9 / 128),
+    (-85085 / 82944, 17017 / 9216, -4563 / 5120, 75 / 1024),
+    (37182145 / 7962624, -7436429 / 663552, 144001 / 16384, -96833 / 40960, 3675 / 32768),
+)
 
-    Scans an upper bound for the rate function on the shell max|t_i| = r
-    (one coordinate pinned at r, the rest relaxed through an AM-GM bound)
-    and returns the smallest r whose suffix maximum stays below -80/n, so
-    everything dropped is exp(-80) relative to the bulk, secondary bumps
-    included. Returns None when no such radius exists (supercritical lam).
+
+def _log_mgf(s, n: int) -> np.ndarray:
+    """log E exp(sT) = log 0F1(; n/2; s^2/4), T one coordinate of the sphere.
+
+    Even in s, exactly 0 at s = 0. Sums 20 power-series terms while
+    s^2/4 <= n/2 (term ratios stay below 1/(j + 1)); beyond that it is
+    log(Gamma(nu + 1) (2/s)^nu I_nu(s)), nu = n/2 - 1, by Debye's uniform
+    expansion (DLMF 10.41.3) for nu >= 100 and by ive, which cannot
+    underflow there, for smaller nu.
     """
-    if n <= 4:
-        return None
-    c2 = (n - 3) / (2.0 * n)
-    rs = np.linspace(1e-6, 1.0 - 1e-9, 2001)
-    base = c2 * np.log1p(-(rs**2))
-    # inner max over the free coordinates, one row per pinned radius
-    inner = lam * lam * np.outer(rs, rs ** (k - 1)) / (k - 1) + base[None, :]
-    face = base + (k - 1) * inner.max(axis=1)
-    suffix = np.maximum.accumulate(face[::-1])[::-1]
-    ok = (suffix <= -80.0 / n) & (rs >= min(1.0, 24.0 / math.sqrt(n)))
-    idx = np.nonzero(ok)[0]
-    if idx.size == 0:
-        return None
-    return float(rs[idx[0]])
+    s = np.abs(np.asarray(s, dtype=np.float64))
+    b, nu = 0.5 * n, 0.5 * n - 1.0
+    small = s * s <= 2.0 * n
+    x = 0.25 * s[small] ** 2
+    acc = np.zeros_like(x)
+    for j in range(20, 0, -1):
+        acc = x / ((b + j - 1) * j) * (1.0 + acc)
+    out = np.empty_like(s)
+    out[small] = np.log1p(acc)
+    s = s[~small]
+    if nu < 100.0:
+        out[~small] = math.lgamma(b) + nu * np.log(2.0 / s) + np.log(ive(nu, s)) + s
+        return out
+    z2 = (s / nu) ** 2
+    p = 1.0 / np.sqrt(1.0 + z2)
+    w = z2 * p / (1.0 + p)  # sqrt(1 + z^2) - 1
+    series = 1.0 + sum((p / nu) ** k * np.polyval(c, p * p) for k, c in enumerate(_DEBYE, 1))
+    # Stirling: log Gamma(nu + 1) - nu log(nu) + nu - log(2 pi nu) / 2
+    stirling = 1.0 / (12.0 * nu) - 1.0 / (360.0 * nu**3) + 1.0 / (1260.0 * nu**5)
+    out[~small] = stirling + nu * (w - np.log1p(0.5 * w)) + 0.5 * np.log(p) + np.log(series)
+    return out
 
 
-def _asym_quad_k2(lam: float, n: int, theta_max: float):
-    half = n * lam * lam
-    prev = None
-    cur = 0.0
-    err = math.inf
-    m = 0
-    for p in range(11, 14):
-        m = 2**p
-        theta, h = np.linspace(-theta_max, theta_max, m + 1, retstep=True)
-        base = (n - 2) * np.log(np.cos(theta))
-        base[0] += math.log(0.5)
-        base[-1] += math.log(0.5)
-        s = np.sin(theta)
-        log_den = float(logsumexp(base))
-        blocks = []
-        for i0 in range(0, m + 1, 256):
-            i1 = min(i0 + 256, m + 1)
-            e = base[i0:i1, None] + base[None, :] + half * np.outer(s[i0:i1], s)
-            blocks.append(logsumexp(e))
-        cur = float(logsumexp(np.array(blocks))) - 2.0 * log_den
-        if prev is not None:
-            err = abs(cur - prev)
-            if err <= max(1e-9, 1e-9 * abs(cur)):
-                break
-        prev = cur
-    return cur, err, m + 1
+def _asym_theta_cut(n: int, c: float) -> float:
+    """Theta beyond which the asymmetric integrands stay below exp(-140).
 
-
-def _asym_quad_k3(lam: float, n: int, theta_max: float):
-    coef = n * lam * lam
-    prev = None
-    cur = 0.0
-    err = math.inf
-    m = 0
-    for p in range(8, 10):
-        m = 2**p
-        theta, h = np.linspace(-theta_max, theta_max, m + 1, retstep=True)
-        base = (n - 2) * np.log(np.cos(theta))
-        base[0] += math.log(0.5)
-        base[-1] += math.log(0.5)
-        s = np.sin(theta)
-        log_den = float(logsumexp(base))
-        pair = base[:, None] + base[None, :]
-        ss = np.outer(s, s)
-        planes = np.empty(m + 1)
-        for i in range(m + 1):
-            planes[i] = logsumexp(pair + (coef * s[i]) * ss)
-        cur = float(logsumexp(base + planes)) - 3.0 * log_den
-        if prev is not None:
-            err = abs(cur - prev)
-            if err <= max(1e-7, 1e-7 * abs(cur)):
-                break
-        prev = cur
-    return cur, err, m + 1
+    E exp(sT) <= exp(s^2 / (2n)) and the other overlap of k = 3 only
+    shrinks s, so on every axis the log integrand (0 at theta = 0) is at
+    most a log(u) + q (1 - u), u = cos(theta)^2, a = (n - 2)/2 and
+    q = c^2 / (2n). Fixed-point iteration from u = 0 climbs to its
+    smallest root at -140; stopping early only widens the interval.
+    """
+    if n == 2:
+        return math.pi / 2.0
+    a, q, u = 0.5 * (n - 2), 0.5 * c * c / n, 0.0
+    for _ in range(100):
+        u = math.exp((q * u - q - 140.0) / a)
+    return math.acos(math.sqrt(u))
 
 
 def second_moment_asym(
@@ -304,12 +292,13 @@ def second_moment_asym(
 ) -> SecondMomentResult:
     """Second moment E exp(n lam^2 T_1 ... T_k) for independent overlaps.
 
-    Orders 2 and 3 use a tensor-product theta quadrature restricted to a
-    provably sufficient box; higher orders fall back to Monte Carlo over
-    exact overlap marginals (T^2 ~ Beta(1/2, (n-1)/2) with a random sign),
-    reporting the relative standard error in ``quadrature_error``. The
-    Monte Carlo value is returned unclamped, so it can sit slightly below
-    0 within its own noise.
+    Orders 2 and 3 integrate the last overlap out in closed form and the
+    others by self-normalized Gauss-Legendre in theta; the integrand is
+    even, so ``nodes`` counts nodes per axis on [0, theta_max]. Higher
+    orders fall back to Monte Carlo over exact overlap marginals
+    (T^2 ~ Beta(1/2, (n-1)/2) with a random sign), reporting the relative
+    standard error in ``quadrature_error``. The Monte Carlo value is
+    returned unclamped, so it can sit slightly below 0 within its noise.
     """
     n = _check_dim(n)
     k = _check_order(k)
@@ -317,12 +306,21 @@ def second_moment_asym(
     if lam == 0.0:
         return SecondMomentResult("asym", k, n, 0.0, 0.0, 0.0, 0.0, "quadrature", 0)
     if k in (2, 3):
-        radius = _asym_safe_radius(lam, n, k)
-        theta_max = math.pi / 2.0 if radius is None else math.asin(min(radius, 1.0))
-        if k == 2:
-            cur, err, nodes = _asym_quad_k2(lam, n, theta_max)
-        else:
-            cur, err, nodes = _asym_quad_k3(lam, n, theta_max)
+        c = n * lam * lam
+
+        def log_ratio(theta, log_w):
+            log_d = (n - 2) * np.log(np.cos(theta)) + log_w
+            sin = np.sin(theta)
+            if k == 2:
+                return float(logsumexp(log_d + _log_mgf(c * sin, n)) - logsumexp(log_d))
+            # 256 rows at a time bound the memory of the 2-D integrand
+            rows = [
+                logsumexp(log_d[b, None] + log_d + _log_mgf(np.outer(c * sin[b], sin), n))
+                for b in (slice(i, i + 256) for i in range(0, sin.size, 256))
+            ]
+            return float(logsumexp(rows) - 2.0 * logsumexp(log_d))
+
+        cur, err, nodes = _refine_theta(log_ratio, 0.0, _asym_theta_cut(n, c), _ASYM_NODES[k], True)
         log_sm = _clamp_log_moment(cur, "asymmetric quadrature")
         return SecondMomentResult(
             "asym", k, n, lam, log_sm, err, _implied_tv(log_sm), "quadrature", nodes
@@ -490,10 +488,11 @@ class ExperimentSpec:
             raise ConfigError(
                 "test.statistic", f"unknown statistic {self.statistic!r}; known: {STATISTICS}"
             )
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if type(self.trials) is not int or self.trials < 1:
             raise ConfigError("trials", f"must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError("seed", f"must be a nonnegative integer, got {self.seed!r}")
+        # streams are keyed by 2 * seed + hypothesis in 64 bits
+        if type(self.seed) is not int or not 0 <= self.seed < 2**63:
+            raise ConfigError("seed", f"must be an integer in [0, 2^63), got {self.seed!r}")
         if not math.isfinite(self.threshold):
             raise ConfigError("test.threshold", f"must be finite, got {self.threshold!r}")
 

@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import _oracles
 from spiked_lab.ensembles import (
@@ -157,6 +158,7 @@ def test_large_clique_detection_power():
     )
 
 
+@pytest.mark.slow
 def test_small_clique_indistinguishability():
     n = 900
     clique_size = math.ceil(0.5 * math.sqrt(n))
@@ -178,6 +180,7 @@ def test_small_clique_indistinguishability():
     )
 
 
+@pytest.mark.slow
 def test_trace_test_total_variation():
     data = {
         "h0": {"model": "goe", "n": 500, "seed": 41},
@@ -198,6 +201,7 @@ def test_trace_test_total_variation():
     )
 
 
+@pytest.mark.slow
 def test_noise_inner_product_variance_identity():
     n, k, m = 30, 3, 100000
     rng_dirs = np.random.default_rng(123)

@@ -78,6 +78,14 @@ def test_spec_rejects_unknown_model():
         EnsembleSpec(model="wishart", n=10)
 
 
+@pytest.mark.parametrize("field", ["n", "k", "seed"])
+def test_spec_rejects_bool_integers(field):
+    kwargs = {"model": "sym_noise", "n": 5, "k": 3, field: True}
+    with pytest.raises(ConfigError) as err:
+        EnsembleSpec(**kwargs)
+    assert err.value.field == field
+
+
 def test_spec_goe_requires_k2():
     with pytest.raises(ConfigError) as err:
         EnsembleSpec(model="goe", n=10, k=3)

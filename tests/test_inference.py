@@ -21,7 +21,10 @@ from spiked_lab.ensembles import (
 from spiked_lab.errors import ConfigError, ContractError
 from spiked_lab.inference import (
     ExperimentSpec,
+    _check_dim,
+    _check_order,
     _implied_tv,
+    _log_mgf,
     first_coord_log_density,
     first_coord_tail_logprob,
     likelihood_ratio_mc,
@@ -114,6 +117,13 @@ def test_tail_complement_identity():
 )
 def test_tail_is_monotone_decreasing(n, a, b):
     lo, hi = min(a, b), max(a, b)
+    assert first_coord_tail_logprob(lo, n) >= first_coord_tail_logprob(hi, n)
+
+
+@pytest.mark.parametrize("n,lo,hi", [(39, -0.96875, -0.9375), (4, -1.0810644521721723e-113, 0.0)])
+def test_tail_is_monotone_at_falsifying_examples(n, lo, hi):
+    # rounding in the quadrature once let the value rise as a fell, near
+    # a = -1 (direct integration) and across a = 0 (rounding above 1/2)
     assert first_coord_tail_logprob(lo, n) >= first_coord_tail_logprob(hi, n)
 
 
@@ -221,6 +231,48 @@ def test_second_moment_asym_k3_matches_reduced_quadrature():
     )
     r = second_moment_asym(lam, n, 3)
     assert r.log_second_moment == pytest.approx(math.log(num) - 2 * math.log(den), abs=1e-5)
+
+
+# nu = n/2 - 1 runs from 0 to 5e4 across these dimensions; series, ive and
+# Debye regimes meet at s^2 = 2n and nu = 100, so both sides of each appear
+_MGF_DIMS = (2, 3, 4, 5, 20, 101, 199, 200, 201, 202, 1000, 10000, 100002)
+_MGF_ARGS = (1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
+
+
+@pytest.mark.parametrize("n", _MGF_DIMS)
+def test_log_mgf_matches_mpmath_bessel(n):
+    import mpmath as mp
+
+    nu = n / 2.0 - 1.0
+    edge = math.sqrt(2.0 * n)
+    # mpmath sums ~s/2 series terms when nu is large and nu < s < nu^2,
+    # which takes seconds or more per point, so those corners are left out
+    args = [s for s in _MGF_ARGS if not (nu >= 4999 and s >= 1e5)]
+    args += [edge * (1 - 1e-3), edge * (1 + 1e-3)]
+    got = _log_mgf(np.array(args), n)
+    with mp.workdps(40):
+        for s, value in zip(args, got):
+            s_mp, nu_mp = mp.mpf(s), mp.mpf(nu)
+            bessel = mp.besseli(nu_mp, s_mp, maxterms=10**6)
+            want = mp.loggamma(mp.mpf(n) / 2) + nu_mp * mp.log(2 / s_mp) + mp.log(bessel)
+            assert value == pytest.approx(float(want), rel=1e-10, abs=0.0), (n, s)
+    assert np.array_equal(_log_mgf(-np.array(args), n), got)
+    assert np.all(_log_mgf(np.zeros(3), n) == 0.0)
+
+
+@pytest.mark.parametrize(
+    "k,n,lam",
+    [(2, n, 0.9) for n in (2, 3, 5, 40, 1000)]
+    + [(3, n, 1.0) for n in (2, 3, 5, 40, 1000)]
+    # the last two are supercritical: the mass sits far from the origin, so
+    # the interval cut must bound the whole integrand, not the density alone
+    + [(2, 20000, 0.9), (2, 1000, 1.1), (3, 1000, 2.0)],
+)
+def test_second_moment_asym_matches_series(k, n, lam):
+    r = second_moment_asym(lam, n, k)
+    want = _oracles.asym_moment_series(lam, n, k, terms=5000)
+    assert r.method == "quadrature"
+    assert r.log_second_moment == pytest.approx(want, abs=1e-9)
 
 
 def test_second_moment_asym_k4_monte_carlo_matches_series():
@@ -438,6 +490,39 @@ def test_experiment_spec_default_thresholds():
     spec = ExperimentSpec.from_json_dict(data)
     assert spec.threshold == 0.0
     assert spec.params["beta"] == 1.8  # borrowed from the alternative
+
+
+@pytest.mark.parametrize("field", ["trials", "seed"])
+def test_experiment_spec_rejects_bool(field):
+    kwargs = {"trials": 5, "seed": 0, field: True}
+    with pytest.raises(ConfigError) as err:
+        ExperimentSpec(
+            h0=EnsembleSpec(model="goe", n=10),
+            h1=EnsembleSpec(model="goe", n=10),
+            statistic="eig",
+            threshold=2.1,
+            **kwargs,
+        )
+    assert err.value.field == field
+
+
+def test_experiment_spec_seed_below_2_63():
+    # streams are keyed by 2 * seed + hypothesis in 64 bits, so seeds s and
+    # s + 2^63 would share the alternative's stream
+    ExperimentSpec.from_json_dict(_eig_experiment_dict(seed=2**63 - 1))
+    with pytest.raises(ConfigError) as err:
+        ExperimentSpec.from_json_dict(_eig_experiment_dict(seed=2**63))
+    assert err.value.field == "seed"
+
+
+def test_check_dim_and_order_reject_bool():
+    with pytest.raises(ContractError):
+        _check_dim(True)
+    with pytest.raises(ContractError):
+        _check_order(True)
+    with pytest.raises(ContractError):
+        second_moment_asym(0.5, 50, True)
+    assert _check_dim(np.int64(5)) == 5 and _check_order(3) == 3
 
 
 def test_experiment_spec_validation():
