@@ -9,11 +9,13 @@ makes sense, CSV. Exit codes: 0 success, 1 configuration or usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
 
+from . import __version__
 from .ensembles import STREAM_SAMPLE, EnsembleSpec, sample_trial, sub_seed_hex
 from .errors import ConfigError, NumericalFailure, SpikedLabError
 from .inference import (
@@ -30,15 +32,6 @@ SCHEMA_VERSION = "v1"
 _INLINE_JSON_LIMIT = 10**4
 
 
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("spiked-lab")
-    except Exception:
-        return "0.1.0"
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; the contract reserves 2
     # for numerical failures, so route usage problems through ConfigError.
@@ -46,18 +39,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError("usage", message)
 
 
-def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _file_errors(field: str, path: str):
+    """Report a failed open, read or write of ``path`` as a ConfigError on ``field``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(field, f"{path}: {exc.strerror or exc}") from exc
 
 
-def _emit_text(text: str, output: str | None) -> None:
+def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
+        with _file_errors("output", output), open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -71,17 +64,11 @@ def _load_spec_arg(raw: str) -> dict:
             return json.loads(candidate)
         except json.JSONDecodeError as exc:
             raise ConfigError("spec", f"inline JSON is invalid: {exc}") from exc
-    if not os.path.exists(raw):
-        raise ConfigError("spec", f"no such file: {raw}")
-    with open(raw, "r", encoding="utf-8") as fh:
+    with _file_errors("spec", raw), open(raw, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise ConfigError("spec", f"{raw} is not valid JSON: {exc}") from exc
-
-
-def _meta(started: float) -> dict:
-    return {"package_version": _package_version(), "wall_clock_s": time.monotonic() - started}
 
 
 def _threads_default() -> int:
@@ -97,12 +84,10 @@ def _threads_default() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _cmd_threshold(args, started: float) -> int:
+def _cmd_threshold(args) -> dict:
     beta = beta_star(args.k)
     lam = lambda_star(args.k)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "threshold",
+    return {
         "k": args.k,
         "beta_star": beta.value,
         "lambda_star": lam.value,
@@ -111,29 +96,23 @@ def _cmd_threshold(args, started: float) -> int:
         "unimodal": beta.unimodal,
         "objective_at_min": beta.objective_at_min,
         "beta_star_asymptotic": beta_star_asymptotic(args.k) if args.k > 2 else None,
-        "meta": _meta(started),
     }
-    _emit(payload, args.output)
-    return 0
 
 
-def _cmd_second_moment(args, started: float) -> int:
+def _cmd_second_moment(args) -> dict:
     if args.model == "sym":
         result = second_moment_sym(args.strength, args.n, args.k)
     else:
         result = second_moment_asym(
             args.strength, args.n, args.k, mc_samples=args.mc_samples, seed=args.seed or 0
         )
-    payload = {"schema_version": SCHEMA_VERSION, "command": "second-moment"}
-    payload.update(result.to_json_dict())
+    payload = result.to_json_dict()
     if result.method == "monte_carlo":
         payload["seed"] = args.seed or 0
-    payload["meta"] = _meta(started)
-    _emit(payload, args.output)
-    return 0
+    return payload
 
 
-def _cmd_sample(args, started: float) -> int:
+def _cmd_sample(args) -> dict:
     data = _load_spec_arg(args.spec)
     if args.seed is not None:
         data = {**data, "seed": args.seed}
@@ -142,8 +121,6 @@ def _cmd_sample(args, started: float) -> int:
         raise ConfigError("trial", f"must be >= 0, got {args.trial}")
     tensor = sample_trial(spec, args.trial)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "sample",
         "spec": spec.to_json_dict(),
         "trial": args.trial,
         "seed": spec.seed,
@@ -152,13 +129,14 @@ def _cmd_sample(args, started: float) -> int:
         "k": tensor.order,
     }
     if args.tensor_out:
-        if args.tensor_out.endswith(".spkt"):
-            save_tensor(tensor, args.tensor_out)
-        elif args.tensor_out.endswith(".json"):
-            with open(args.tensor_out, "w", encoding="utf-8") as fh:
-                fh.write(tensor_to_json(tensor) + "\n")
-        else:
+        if not args.tensor_out.endswith((".spkt", ".json")):
             raise ConfigError("tensor-out", "expected a .spkt or .json path")
+        with _file_errors("tensor-out", args.tensor_out):
+            if args.tensor_out.endswith(".spkt"):
+                save_tensor(tensor, args.tensor_out)
+            else:
+                with open(args.tensor_out, "w", encoding="utf-8") as fh:
+                    fh.write(tensor_to_json(tensor) + "\n")
         payload["tensor_path"] = args.tensor_out
     elif tensor.n_entries <= _INLINE_JSON_LIMIT:
         payload["tensor"] = json.loads(tensor_to_json(tensor))
@@ -167,12 +145,10 @@ def _cmd_sample(args, started: float) -> int:
             "tensor-out",
             f"{tensor.n_entries} entries is too large to inline; pass --tensor-out FILE",
         )
-    payload["meta"] = _meta(started)
-    _emit(payload, args.output)
-    return 0
+    return payload
 
 
-def _cmd_experiment(args, started: float) -> int:
+def _cmd_experiment(args) -> dict | str:
     data = _load_spec_arg(args.spec)
     if args.seed is not None:
         data = {**data, "seed": args.seed}
@@ -183,21 +159,12 @@ def _cmd_experiment(args, started: float) -> int:
     if workers < 1:
         raise ConfigError("threads", f"must be >= 1, got {workers}")
     result = run_experiment(spec, workers=workers)
-    if args.format == "csv":
-        _emit_text(result.rows_csv(), args.output)
-        return 0
-    payload = {"schema_version": SCHEMA_VERSION, "command": "experiment"}
-    payload.update(result.to_json_dict())
-    payload["meta"] = _meta(started)
-    _emit(payload, args.output)
-    return 0
+    return result.rows_csv() if args.format == "csv" else result.to_json_dict()
 
 
-def _cmd_rate(args, started: float) -> int:
+def _cmd_rate(args) -> dict:
     point = sphere_rate(args.a)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "rate",
         "a": point.a,
         "asymptotic_rate": point.value,
     }
@@ -206,9 +173,7 @@ def _cmd_rate(args, started: float) -> int:
         payload["n"] = args.n
         payload["log_tail_prob"] = log_tail
         payload["rate_per_coordinate"] = log_tail / args.n
-    payload["meta"] = _meta(started)
-    _emit(payload, args.output)
-    return 0
+    return payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="critical signal strengths for order k")
     p.add_argument("--k", type=int, required=True, help="tensor order, k >= 2")
-    p.add_argument("--output", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("second-moment", help="likelihood ratio second moment")
@@ -227,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strength", type=float, required=True)
     p.add_argument("--mc-samples", type=int, default=1 << 17, help="asym k >= 4 only")
     p.add_argument("--seed", type=int, default=None, help="asym k >= 4 only")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_second_moment)
 
     p = sub.add_parser("sample", help="draw one tensor from an ensemble spec")
@@ -235,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trial", type=int, default=0)
     p.add_argument("--seed", type=int, default=None, help="override the spec seed")
     p.add_argument("--tensor-out", default=None, help="write the tensor to .spkt or .json")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("experiment", help="two-hypothesis detection experiment")
@@ -249,14 +211,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker threads (default: SPIKED_LAB_THREADS or the CPU count)",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("rate", help="sphere cap rate function and finite-n tails")
     p.add_argument("--a", type=float, required=True, help="overlap level in [-1, 1]")
     p.add_argument("--n", type=int, default=None, help="also report log P(T >= a) at this n")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_rate)
+
+    for p in sub.choices.values():
+        p.add_argument("--output", default=None, help="write the result here instead of stdout")
     return parser
 
 
@@ -265,7 +228,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, started)
+        result = args.func(args)
+        if isinstance(result, dict):  # CSV text goes out as it is
+            meta = {"package_version": __version__, "wall_clock_s": time.monotonic() - started}
+            envelope = {"schema_version": SCHEMA_VERSION, "command": args.command}
+            result = json.dumps({**envelope, **result, "meta": meta}, indent=2) + "\n"
+        _emit(result, args.output)
+        return 0
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -21,13 +21,13 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
-from .tensors import DenseTensor, SymmetricTensor, UnitVector, symmetrize
+from .errors import ConfigError, ContractError, _finite_number
+from .tensors import DenseTensor, SymmetricTensor, UnitVector, outer_power, symmetrize
 
 MODELS = ("goe", "sym_noise", "asym_noise", "sym_spiked", "asym_spiked", "hidden_clique")
 _SPIKED = ("sym_spiked", "asym_spiked")
@@ -102,9 +102,7 @@ class EnsembleSpec:
             raise ConfigError("k", f"order must be an integer >= 2, got {self.k!r}")
         if self.model in _MATRIX_ONLY and self.k != 2:
             raise ConfigError("k", f"model {self.model!r} is a matrix model; k must be 2")
-        if not (isinstance(self.strength, (int, float)) and math.isfinite(self.strength)):
-            raise ConfigError("strength", f"strength must be a finite number, got {self.strength!r}")
-        if self.strength < 0:
+        if _finite_number(self.strength, "strength") < 0:
             raise ConfigError("strength", f"strength must be >= 0, got {self.strength}")
         if type(self.seed) is not int or not 0 <= self.seed <= _M64:
             raise ConfigError("seed", f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
@@ -251,18 +249,10 @@ def sample_spiked(spec: EnsembleSpec, rng: np.random.Generator):
     n, k, strength = spec.n, spec.k, float(spec.strength)
     if spec.model == "sym_spiked":
         noise = sample_sym_noise(n, k, rng)
-        if spec.spike is not None:
-            v = np.asarray(spec.spike)
-        else:
-            v = sample_sphere(n, rng).coords
+        v = sample_sphere(n, rng) if spec.spike is None else spec.spike
         if strength == 0.0:
             return noise
-        spike = _rank_one([v] * k)
-        from .tensors import _canonicalize_symmetric  # exact-symmetry gather
-
-        if k > 2:
-            spike = _canonicalize_symmetric(spike)
-        return SymmetricTensor(noise.array + strength * spike, check=False)
+        return SymmetricTensor(noise.array + strength * outer_power(v, k).array, check=False)
     noise = sample_asym_noise(n, k, rng)
     if spec.spike is not None:
         vs = [np.asarray(r) for r in spec.spike]
@@ -316,13 +306,18 @@ def sample_trial(spec: EnsembleSpec, trial: int, context: int = 0):
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Per-trial scalar statistics for a spec, with their sub-seeds."""
+    """Per-trial scalar statistics for a spec; sub-seeds are derived on demand."""
 
     spec: EnsembleSpec
     trials: int
     values: np.ndarray
-    sub_seeds: tuple[str, ...] = field(repr=False)
     context: int = 0
+
+    @property
+    def sub_seeds(self) -> tuple[str, ...]:
+        return tuple(
+            sub_seed_hex(self.spec.seed, t, STREAM_SAMPLE, self.context) for t in range(self.trials)
+        )
 
 
 StatisticFn = Callable[..., float]
@@ -357,12 +352,4 @@ def batch_statistics(
         ranges = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda r: run_range(*r), ranges))
-    subs = tuple(sub_seed_hex(spec.seed, t, STREAM_SAMPLE, context) for t in range(trials))
-    return SampleBatch(spec=spec, trials=trials, values=values, sub_seeds=subs, context=context)
-
-
-def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed orthogonal matrix (QR of a Gaussian, sign-fixed)."""
-    g = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    return q * np.sign(np.diag(r))
+    return SampleBatch(spec=spec, trials=trials, values=values, context=context)

@@ -25,14 +25,21 @@ from scipy.special import ive, logsumexp, roots_legendre
 from .ensembles import (
     STREAM_TEST,
     EnsembleSpec,
+    SampleBatch,
     batch_statistics,
     sample_sphere,
-    sub_seed_hex,
     trial_rng,
 )
-from .errors import ConfigError, ContractError, NumericalFailure
+from .errors import (
+    ConfigError,
+    ContractError,
+    NumericalFailure,
+    _check_order,
+    _check_strength,
+    _finite_number,
+)
 from .spectra import eigvals_sym, ks_distance
-from .tensors import DenseTensor, frobenius, operator_norm_lb
+from .tensors import _as_array, frobenius, operator_norm_lb
 
 _LOG_TOL_1D = 1e-10
 _ASYM_NODES = {2: tuple(2**p for p in range(4, 13)), 3: tuple(2**p for p in range(4, 12))}
@@ -44,12 +51,6 @@ def _check_dim(n) -> int:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
         raise ContractError(f"dimension n must be an integer >= 2, got {n!r}")
     return int(n)
-
-
-def _check_order(k) -> int:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 2 <= k <= 10:
-        raise ContractError(f"order k must be an integer in [2, 10], got {k!r}")
-    return int(k)
 
 
 def log_cn(n: int) -> float:
@@ -185,12 +186,6 @@ def _clamp_log_moment(log_sm: float, context: str) -> float:
     )
 
 
-def _check_strength(value: float, name: str) -> float:
-    if not math.isfinite(value) or value < 0:
-        raise ContractError(f"{name} must be finite and >= 0, got {value!r}")
-    return float(value)
-
-
 def second_moment_sym(beta: float, n: int, k: int) -> SecondMomentResult:
     """Second moment of the symmetric-model likelihood ratio under noise.
 
@@ -198,7 +193,7 @@ def second_moment_sym(beta: float, n: int, k: int) -> SecondMomentResult:
     uniform directions, as a self-normalized theta-space trapezoid.
     """
     n = _check_dim(n)
-    k = _check_order(k)
+    k = _check_order(k, 10)
     beta = _check_strength(beta, "beta")
     if beta == 0.0:
         return SecondMomentResult("sym", k, n, 0.0, 0.0, 0.0, 0.0, "quadrature", 0)
@@ -301,7 +296,7 @@ def second_moment_asym(
     returned unclamped, so it can sit slightly below 0 within its noise.
     """
     n = _check_dim(n)
-    k = _check_order(k)
+    k = _check_order(k, 10)
     lam = _check_strength(lam, "lam")
     if lam == 0.0:
         return SecondMomentResult("asym", k, n, 0.0, 0.0, 0.0, 0.0, "quadrature", 0)
@@ -371,10 +366,9 @@ def likelihood_ratio_mc(
     directions v. Zero beta short-circuits to the exact value 1.
     """
     beta = _check_strength(beta, "beta")
-    arr = x.array if isinstance(x, DenseTensor) else np.asarray(x, dtype=np.float64)
-    if arr.ndim < 2 or len(set(arr.shape)) != 1:
+    arr, k, n = _as_array(x)
+    if k < 2:
         raise ContractError("likelihood_ratio_mc expects a cubic tensor of order >= 2")
-    n = arr.shape[0]
     if beta == 0.0:
         return LikelihoodRatioEstimate(0.0, 1.0, 0.0, False, 0)
     if n_samples < 2:
@@ -398,8 +392,8 @@ def likelihood_ratio_mc(
 
 def trace_stat(x) -> float:
     """Sum of diagonal entries of a matrix-shaped sample."""
-    arr = x.array if isinstance(x, DenseTensor) else np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    arr, k, _ = _as_array(x)
+    if k != 2:
         raise ContractError("trace_stat expects a square matrix")
     return float(np.trace(arr))
 
@@ -432,6 +426,13 @@ def spectral_test_eig(x, delta: float = 0.15) -> int:
 STATISTICS = ("eig", "trace", "lr", "frob", "opnorm")
 
 
+def _int_param(params: dict, name: str, default: int) -> int:
+    value = params.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"test.params.{name}", f"must be an integer, got {value!r}")
+    return int(value)
+
+
 def make_statistic(name: str, params: dict | None = None):
     """Build a named per-trial statistic callable for batch evaluation.
 
@@ -452,7 +453,8 @@ def make_statistic(name: str, params: dict | None = None):
         beta = params.get("beta")
         if beta is None:
             raise ConfigError("test.params.beta", "the lr statistic needs a strength")
-        n_samples = int(params.get("samples", 2048))
+        beta = _finite_number(beta, "test.params.beta")
+        n_samples = _int_param(params, "samples", 2048)
 
         def lr_stat(x, *, spec, trial, context=0, **kw):
             rng = trial_rng(spec.seed, trial, STREAM_TEST, context)
@@ -460,8 +462,8 @@ def make_statistic(name: str, params: dict | None = None):
 
         return lr_stat
     if name == "opnorm":
-        restarts = int(params.get("restarts", 8))
-        iters = int(params.get("iters", 200))
+        restarts = _int_param(params, "restarts", 8)
+        iters = _int_param(params, "iters", 200)
 
         def opnorm_stat(x, *, spec, trial, context=0, **kw):
             rng = trial_rng(spec.seed, trial, STREAM_TEST, context)
@@ -493,8 +495,7 @@ class ExperimentSpec:
         # streams are keyed by 2 * seed + hypothesis in 64 bits
         if type(self.seed) is not int or not 0 <= self.seed < 2**63:
             raise ConfigError("seed", f"must be an integer in [0, 2^63), got {self.seed!r}")
-        if not math.isfinite(self.threshold):
-            raise ConfigError("test.threshold", f"must be finite, got {self.threshold!r}")
+        _finite_number(self.threshold, "test.threshold")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentSpec":
@@ -551,17 +552,14 @@ def _resolve_threshold(name: str, test: dict, h1: EnsembleSpec) -> float:
     if "threshold" in test and "delta" in test:
         raise ConfigError("test", "give either 'threshold' or 'delta', not both")
     if "threshold" in test:
-        value = test["threshold"]
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
-            raise ConfigError("test.threshold", f"must be a finite number, got {value!r}")
-        return float(value)
+        return _finite_number(test["threshold"], "test.threshold")
     if "delta" in test:
         if name != "eig":
             raise ConfigError("test.delta", "only the eig statistic takes an edge margin")
-        value = test["delta"]
-        if not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
+        value = _finite_number(test["delta"], "test.delta")
+        if value <= 0:
             raise ConfigError("test.delta", f"must be a positive number, got {value!r}")
-        return 2.0 + float(value)
+        return 2.0 + value
     if name == "trace":
         return 0.5 * h1.strength
     if name == "lr":
@@ -572,14 +570,42 @@ def _resolve_threshold(name: str, test: dict, h1: EnsembleSpec) -> float:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """Summary of a run plus the per-hypothesis batches it came from.
+
+    Per-trial rows and the ROC are derived from the batches when asked for.
+    """
+
     spec: ExperimentSpec
     fpr: float
     power: float
     ks: float
-    stats0: np.ndarray
-    stats1: np.ndarray
-    roc: list
-    rows: list
+    batches: tuple[SampleBatch, SampleBatch]
+
+    @property
+    def stats0(self) -> np.ndarray:
+        return self.batches[0].values
+
+    @property
+    def stats1(self) -> np.ndarray:
+        return self.batches[1].values
+
+    @property
+    def roc(self) -> list:
+        return _roc_curve(self.stats0, self.stats1)
+
+    @property
+    def rows(self) -> list[dict]:
+        return [
+            {
+                "hypothesis": hyp,
+                "trial": trial,
+                "statistic": value,
+                "decision": int(value >= self.spec.threshold),
+                "sub_seed": sub_seed,
+            }
+            for hyp, batch in enumerate(self.batches)
+            for trial, (value, sub_seed) in enumerate(zip(batch.values.tolist(), batch.sub_seeds))
+        ]
 
     def to_json_dict(self) -> dict:
         return {
@@ -623,33 +649,15 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     |power - fpr| over all thresholds.
     """
     stat = make_statistic(spec.statistic, spec.params)
-    batches = []
-    for hyp, ens in enumerate((spec.h0, spec.h1)):
-        context = spec.seed * 2 + hyp
-        batches.append(batch_statistics(ens, spec.trials, stat, workers, context))
-    stats0 = batches[0].values
-    stats1 = batches[1].values
-    decisions0 = stats0 >= spec.threshold
-    decisions1 = stats1 >= spec.threshold
-    rows = []
-    for hyp, batch, dec in ((0, batches[0], decisions0), (1, batches[1], decisions1)):
-        for i in range(spec.trials):
-            rows.append(
-                {
-                    "hypothesis": hyp,
-                    "trial": i,
-                    "statistic": float(batch.values[i]),
-                    "decision": int(dec[i]),
-                    "sub_seed": batch.sub_seeds[i],
-                }
-            )
+    batches = tuple(
+        batch_statistics(ens, spec.trials, stat, workers, spec.seed * 2 + hyp)
+        for hyp, ens in enumerate((spec.h0, spec.h1))
+    )
+    stats0, stats1 = batches[0].values, batches[1].values
     return ExperimentResult(
         spec=spec,
-        fpr=float(np.mean(decisions0)),
-        power=float(np.mean(decisions1)),
+        fpr=float(np.mean(stats0 >= spec.threshold)),
+        power=float(np.mean(stats1 >= spec.threshold)),
         ks=ks_distance(stats0, stats1),
-        stats0=stats0,
-        stats1=stats1,
-        roc=_roc_curve(stats0, stats1),
-        rows=rows,
+        batches=batches,
     )

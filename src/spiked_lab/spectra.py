@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, NumericalFailure
-from .tensors import DenseTensor
+from .tensors import _as_array
 
 _SYMMETRY_TOL = 1e-10
 
@@ -40,17 +39,6 @@ class Spectrum:
         return float(self.eigenvalues[0])
 
 
-def _as_matrix(x) -> np.ndarray:
-    if isinstance(x, DenseTensor):
-        if x.order != 2:
-            raise ContractError(f"expected a matrix, got order {x.order}")
-        return x.array
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ContractError(f"expected a square matrix, got shape {arr.shape}")
-    return arr
-
-
 def eigvals_sym(x, vectors: bool = False):
     """Full symmetric eigendecomposition, eigenvalues descending.
 
@@ -59,7 +47,9 @@ def eigvals_sym(x, vectors: bool = False):
     with eigenvalue i, and the Spectrum carries the max residual
     |X v - lambda v|.
     """
-    arr = _as_matrix(x)
+    arr, k, _ = _as_array(x)
+    if k != 2:
+        raise ContractError(f"expected a square matrix, got order {k}")
     scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0)
     asym = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
     if asym > _SYMMETRY_TOL * scale:
@@ -169,7 +159,3 @@ def summarize_spectra(spectra) -> dict:
         "trace_mean": float(np.mean(traces)),
         "trace_std": float(np.std(traces, ddof=1)) if len(traces) > 1 else 0.0,
     }
-
-
-def summary_to_json(spectra) -> str:
-    return json.dumps(summarize_spectra(spectra), indent=2, sort_keys=True)

@@ -38,13 +38,11 @@ _CANON_CACHE_LIMIT = 1 << 22
 
 def _check_budget(dim: int, order: int, entry_budget: int | None) -> int:
     budget = DEFAULT_ENTRY_BUDGET if entry_budget is None else int(entry_budget)
-    count = dim**order
-    if count > budget:
-        raise SizingError(
-            f"tensor with n={dim}, k={order} has {count} entries, "
-            f"exceeding the entry budget {budget}"
-        )
-    return count
+    # for n >= 2 this order alone gives 2^k > budget; n^k itself could take
+    # minutes to form and has too many digits to print
+    if dim > 1 and order >= budget.bit_length() or dim**order > budget:
+        raise SizingError(f"tensor with n={dim}, k={order} exceeds the entry budget {budget}")
+    return dim**order
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -403,8 +401,21 @@ def tensor_to_json(x) -> str:
 
 
 def tensor_from_json(text: str) -> DenseTensor:
-    obj = json.loads(text)
+    """Inverse of ``tensor_to_json``; malformed input raises ContractError."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ContractError(f"tensor JSON is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ContractError("tensor JSON must be an object with fields 'k', 'n', 'entries'")
     for field in ("k", "n", "entries"):
         if field not in obj:
             raise ContractError(f"tensor JSON is missing field {field!r}")
-    return DenseTensor(np.asarray(obj["entries"], dtype=np.float64), order=obj["k"], dim=obj["n"])
+    for field in ("k", "n"):
+        if type(obj[field]) is not int:
+            raise ContractError(f"tensor JSON field {field!r} must be an integer, got {obj[field]!r}")
+    try:
+        entries = np.asarray(obj["entries"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"tensor JSON field 'entries' must be a list of numbers: {exc}") from None
+    return DenseTensor(entries, order=obj["k"], dim=obj["n"])

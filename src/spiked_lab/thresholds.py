@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .errors import ContractError
+from .errors import ContractError, _check_order, _check_strength
 
 _Q_LO = 1e-10
 _Q_HI = 1.0 - 1e-12
@@ -60,12 +60,6 @@ class RateFunctionPoint:
     value: float
 
 
-def _check_order(k) -> int:
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise ContractError(f"order k must be an integer >= 2, got {k!r}")
-    return int(k)
-
-
 def f_beta(q, beta: float, k: int, boundary: str = "raise"):
     """Symmetric variational function beta^2 q^k / 2 + log(1 - q^2) / 2.
 
@@ -73,8 +67,7 @@ def f_beta(q, beta: float, k: int, boundary: str = "raise"):
     "neginf" returns -inf there. |q| > 1 always raises.
     """
     k = _check_order(k)
-    if beta < 0 or not math.isfinite(beta):
-        raise ContractError(f"beta must be finite and >= 0, got {beta!r}")
+    _check_strength(beta, "beta")
     if boundary not in ("raise", "neginf"):
         raise ContractError(f"boundary must be 'raise' or 'neginf', got {boundary!r}")
     arr = np.asarray(q, dtype=np.float64)
@@ -89,8 +82,7 @@ def f_beta(q, beta: float, k: int, boundary: str = "raise"):
 
 def g_lambda(qs, lam: float, boundary: str = "raise") -> float:
     """Asymmetric variational function lambda^2 prod(q_i) + sum log(1 - q_i^2)/2."""
-    if lam < 0 or not math.isfinite(lam):
-        raise ContractError(f"lambda must be finite and >= 0, got {lam!r}")
+    _check_strength(lam, "lambda")
     arr = np.asarray(qs, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
         raise ContractError("g_lambda expects a vector of k >= 2 overlaps")
@@ -193,8 +185,7 @@ def g_lambda_critical(lam: float, k: int) -> list[CriticalPoint]:
     only. Below lambda_k every returned value is negative.
     """
     k = _check_order(k)
-    if lam < 0 or not math.isfinite(lam):
-        raise ContractError(f"lambda must be finite and >= 0, got {lam!r}")
+    _check_strength(lam, "lambda")
     if lam == 0.0:
         return []
 
@@ -244,8 +235,7 @@ def g_lambda_max(lam: float, k: int, n_starts: int = 100, seed: int = 0) -> Asce
     point is the origin and every run collapses onto it.
     """
     k = _check_order(k)
-    if lam < 0 or not math.isfinite(lam):
-        raise ContractError(f"lambda must be finite and >= 0, got {lam!r}")
+    _check_strength(lam, "lambda")
     if not isinstance(n_starts, (int, np.integer)) or n_starts < 1:
         raise ContractError(f"n_starts must be a positive integer, got {n_starts!r}")
     lam2 = lam * lam

@@ -122,6 +122,11 @@ def asym_moment_series(lam: float, n: int, k: int, terms: int = 400) -> float:
     Expands the exponential; odd moments vanish and
     E[T^{2i}] = (1/2)_i / (n/2)_i, so the series is explicit and converges
     absolutely (the product of coordinates is bounded by one).
+
+    With c = n lam^2, every later term ratio is below (c / (n + 2i))^2 for
+    k >= 2, so once 2 c^2 <= (n + 2i)^2 the tail is below the current term.
+    The sum stops only there; far-supercritical terms dip before they grow,
+    so a small term alone proves nothing. Raises when ``terms`` runs out.
     """
     import mpmath as mp
 
@@ -132,6 +137,6 @@ def asym_moment_series(lam: float, n: int, k: int, terms: int = 400) -> float:
             m2i = mp.rf(mp.mpf("0.5"), i) / mp.rf(mp.mpf(n) / 2, i)
             term = c ** (2 * i) * m2i**k / mp.factorial(2 * i)
             total += term
-            if i > 3 and term < total * mp.mpf("1e-40"):
-                break
-        return float(mp.log(total))
+            if term < total * mp.mpf("1e-40") and 2 * c**2 <= (n + 2 * i) ** 2:
+                return float(mp.log(total))
+        raise RuntimeError(f"series did not converge within {terms} terms")

@@ -258,6 +258,30 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert json.loads(path.read_text())["k"] == 4
 
 
+@pytest.mark.parametrize(
+    "field,argv",
+    [
+        ("output", ["threshold", "--k", "2", "--output", "TMP/missing/out.json"]),
+        ("tensor-out", ["sample", "--spec", '{"model": "goe", "n": 4}', "--tensor-out", "TMP/missing/x.spkt"]),
+        ("spec", ["sample", "--spec", "TMP"]),  # a directory
+    ],
+)
+def test_file_errors_exit_one_with_one_error_line(capsys, tmp_path, field, argv):
+    code, out, err = run_cli(capsys, *(a.replace("TMP", str(tmp_path)) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+
+
+def test_public_surface_resolves_and_cli_reports_package_version(capsys):
+    import spiked_lab
+
+    assert len(spiked_lab.__all__) == len(set(spiked_lab.__all__))
+    for name in spiked_lab.__all__:
+        assert hasattr(spiked_lab, name), name
+    payload = run_json(capsys, "threshold", "--k", "2")
+    assert payload["meta"]["package_version"] == spiked_lab.__version__
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "spiked_lab", "threshold", "--k", "3"],

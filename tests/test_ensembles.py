@@ -13,7 +13,6 @@ from spiked_lab.ensembles import (
     STREAM_TEST,
     EnsembleSpec,
     batch_statistics,
-    haar_orthogonal,
     sample_asym_noise,
     sample_goe,
     sample_hidden_clique,
@@ -326,11 +325,6 @@ def test_batch_statistics_passes_context_through():
     a = batch_statistics(spec, 4, frob_stat, context=0)
     b = batch_statistics(spec, 4, frob_stat, context=1)
     assert not np.array_equal(a.values, b.values)
-
-
-def test_haar_orthogonal_is_orthogonal():
-    q = haar_orthogonal(7, trial_rng(41, 0))
-    assert np.allclose(q @ q.T, np.eye(7), atol=1e-12)
 
 
 @settings(max_examples=20)

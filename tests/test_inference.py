@@ -275,6 +275,13 @@ def test_second_moment_asym_matches_series(k, n, lam):
     assert r.log_second_moment == pytest.approx(want, abs=1e-9)
 
 
+def test_asym_series_oracle_refuses_to_stop_in_the_dip():
+    # far-supercritical terms shrink before they grow; a stop on a small
+    # term alone returned 0.00204 here, against a true log value of ~84991
+    with pytest.raises(RuntimeError):
+        _oracles.asym_moment_series(3.0, 20000, 3, terms=5000)
+
+
 def test_second_moment_asym_k4_monte_carlo_matches_series():
     lam, n = 1.2, 30
     r = second_moment_asym(lam, n, 4, mc_samples=1 << 17, seed=1)
@@ -503,6 +510,29 @@ def test_experiment_spec_rejects_bool(field):
             threshold=2.1,
             **kwargs,
         )
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "field,test,h1",
+    [
+        ("test.params.samples", {"statistic": "lr", "params": {"samples": "x"}}, {}),
+        ("test.params.samples", {"statistic": "lr", "params": {"samples": True}}, {}),
+        ("test.params.beta", {"statistic": "lr", "params": {"beta": "x"}}, {}),
+        ("test.params.restarts", {"statistic": "opnorm", "threshold": 1.0, "params": {"restarts": "x"}}, {}),
+        ("test.params.iters", {"statistic": "opnorm", "threshold": 1.0, "params": {"iters": "x"}}, {}),
+        ("test.threshold", {"statistic": "eig", "threshold": True}, {}),
+        ("test.delta", {"statistic": "eig", "delta": True}, {}),
+        ("strength", {"statistic": "eig", "delta": 0.15}, {"strength": True}),
+    ],
+    ids=["samples-text", "samples-bool", "beta-text", "restarts-text", "iters-text",
+         "threshold-bool", "delta-bool", "strength-bool"],
+)
+def test_experiment_rejects_malformed_spec_values(field, test, h1):
+    data = _eig_experiment_dict(test=test, trials=1)
+    data["h1"] = {**data["h1"], **h1}
+    with pytest.raises(ConfigError) as err:
+        run_experiment(ExperimentSpec.from_json_dict(data))
     assert err.value.field == field
 
 

@@ -232,6 +232,29 @@ def test_json_roundtrip():
     assert back == t
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{",
+        "1",
+        '{"k": 2, "n": 2, "entries": "ab"}',
+        '{"k": "x", "n": 2, "entries": [1, 2, 3, 4]}',
+        '{"k": 2, "n": "x", "entries": [1, 2, 3, 4]}',
+    ],
+    ids=["truncated", "not-an-object", "entries-text", "k-text", "n-text"],
+)
+def test_json_malformed_input_raises_contract_error(text):
+    with pytest.raises(ContractError):
+        tensor_from_json(text)
+
+
+def test_huge_order_is_refused_before_the_entry_count_is_formed():
+    # 3^1000000 has 477,122 digits: formatting it into the message raised
+    # a raw ValueError, and forming it grows superlinearly in k
+    with pytest.raises(SizingError):
+        tensor_from_json('{"k": 1000000, "n": 3, "entries": [1.0]}')
+
+
 def test_json_rejects_oversized():
     big = DenseTensor(np.zeros((101, 101)))
     with pytest.raises(SizingError):
