@@ -4,10 +4,9 @@ The overlap of a uniform unit vector with any fixed direction has density
 proportional to (1 - t^2)^((n-3)/2) on [-1, 1]. Everything here that
 integrates against that density substitutes t = sin(theta) first: the
 integrand becomes cos(theta)^(n-2) times a smooth factor on
-[-pi/2, pi/2], which kills the n = 2 endpoint singularity. Gauss-Legendre
-nodes in theta converge fast for every n. The trapezoid rule is spectrally
-accurate only for even n; for odd n an odd endpoint derivative survives
-(cos(theta) itself at n = 3) and it converges algebraically.
+[-pi/2, pi/2], which kills the n = 2 endpoint singularity. Every theta
+integral then goes through one composite Gauss-Legendre rule, which
+converges fast for every n, odd or even.
 
 Second moments of the likelihood ratio are computed self-normalized: the
 numerator and the density normalization use the same nodes and weights, so
@@ -42,7 +41,7 @@ from .spectra import eigvals_sym, ks_distance
 from .tensors import _as_array, frobenius, operator_norm_lb
 
 _LOG_TOL_1D = 1e-10
-_ASYM_NODES = {2: tuple(2**p for p in range(4, 13)), 3: tuple(2**p for p in range(4, 12))}
+_GL16_X, _GL16_W = roots_legendre(16)
 _MC_STREAM = 5
 _TV_VACUOUS = "vacuous"
 
@@ -77,25 +76,26 @@ def first_coord_log_density(t: float, n: int) -> float:
     return log_cn(n) + 0.5 * (n - 3) * math.log1p(-(t * t))
 
 
-def _log_trapezoid(values: np.ndarray, h: float) -> float:
-    """log of the trapezoid rule applied to exp(values) with spacing h."""
-    w = np.zeros_like(values)
-    w[0] = w[-1] = math.log(0.5)
-    return float(logsumexp(values + w)) + math.log(h)
+def _log_cos(theta):
+    # log1p keeps log cos accurate near theta = 0, where the factor n - 2 magnifies its error
+    return 0.5 * np.log1p(-np.sin(theta) ** 2)
 
 
 def _refine_theta(log_integral, lo, hi, sizes, relative):
-    """Gauss-Legendre in theta on [lo, hi], node counts from ``sizes``.
+    """Composite Gauss-Legendre in theta on [lo, hi], node counts from ``sizes``.
 
-    ``log_integral(theta, log_w)`` gets the nodes and the log weights on
-    [-1, 1]. Stops once two values differ by at most 1e-10, times
+    A count m splits the interval into m/16 equal panels with the 16-point
+    rule on each, so a rule costs O(m). ``log_integral(theta, log_w)`` gets
+    the nodes and the log weights of the composite rule mapped to [-1, 1]
+    (they sum to 2). Stops once two values differ by at most 1e-10, times
     max(1, |value|) if ``relative``. Returns value, increment and nodes.
     """
     half = 0.5 * (hi - lo)
     prev = None
     for m in sizes:
-        x, w = roots_legendre(m)
-        cur = log_integral(0.5 * (hi + lo) + half * x, np.log(w))
+        panels = m // 16
+        x = ((2.0 * np.arange(panels) + 1.0)[:, None] + _GL16_X).ravel() / panels - 1.0
+        cur = log_integral(0.5 * (hi + lo) + half * x, np.tile(np.log(_GL16_W / panels), panels))
         if prev is not None:
             err = abs(cur - prev)
             if err <= _LOG_TOL_1D * (max(1.0, abs(cur)) if relative else 1.0):
@@ -108,12 +108,12 @@ def _refine_theta(log_integral, lo, hi, sizes, relative):
 
 
 def first_coord_tail_logprob(a: float, n: int) -> float:
-    """log P(first coordinate >= a), by log-space Gauss-Legendre in theta.
+    """log P(first coordinate >= a), by log-space composite Gauss-Legendre in theta.
 
     The integrand cos(theta)^(n-2) decays geometrically away from its
     maximum, so the interval is first cut where the log integrand has
-    fallen by 140 (a relative exp(-140) truncation), then Gauss-Legendre
-    node counts are doubled until the log value moves by less than 1e-10.
+    fallen by 140 (a relative exp(-140) truncation), then node counts are
+    doubled from 128 to 4096 until the log value moves by less than 1e-10.
     For a >= 0 the value is capped at the exact bound log(1/2) and negative
     a goes through the complement, which keeps the result monotone in a.
     """
@@ -132,7 +132,7 @@ def first_coord_tail_logprob(a: float, n: int) -> float:
     lc, log_half = log_cn(n), math.log(0.5 * (hi - lo))
 
     def log_tail(theta, log_w):
-        return float(logsumexp(lc + (n - 2) * np.log(np.cos(theta)) + log_w)) + log_half
+        return float(logsumexp(lc + (n - 2) * _log_cos(theta) + log_w)) + log_half
 
     log_p = _refine_theta(log_tail, lo, hi, (128, 256, 512, 1024, 2048, 4096), False)[0]
     return min(log_p, -math.log(2.0))
@@ -190,7 +190,9 @@ def second_moment_sym(beta: float, n: int, k: int) -> SecondMomentResult:
     """Second moment of the symmetric-model likelihood ratio under noise.
 
     Computes E exp(n beta^2 T^k / 2) with T the overlap of two independent
-    uniform directions, as a self-normalized theta-space trapezoid.
+    uniform directions, by self-normalized composite Gauss-Legendre in
+    theta with 16 up to 2^21 nodes on [-theta_max, theta_max], beyond which
+    the integrand is below exp(-140) of its value at theta = 0.
     """
     n = _check_dim(n)
     k = _check_order(k, 10)
@@ -198,29 +200,17 @@ def second_moment_sym(beta: float, n: int, k: int) -> SecondMomentResult:
     if beta == 0.0:
         return SecondMomentResult("sym", k, n, 0.0, 0.0, 0.0, 0.0, "quadrature", 0)
     half_nb2 = 0.5 * n * beta * beta
-    prev = None
-    cur = 0.0
-    err = math.inf
-    m = 0
-    for p in range(14, 22):
-        m = 2**p
-        theta, h = np.linspace(-math.pi / 2.0, math.pi / 2.0, m + 1, retstep=True)
-        dens = (n - 2) * np.log(np.cos(theta))
-        num = dens + half_nb2 * np.sin(theta) ** k
-        cur = _log_trapezoid(num, float(h)) - _log_trapezoid(dens, float(h))
-        if prev is not None:
-            err = abs(cur - prev)
-            if err <= max(1e-10, 1e-9 * abs(cur)):
-                break
-        prev = cur
-    else:
-        raise NumericalFailure(
-            "second moment quadrature did not stabilize",
-            partial={"log_second_moment": cur, "quadrature_error": err},
-        )
+
+    def log_ratio(theta, log_w):
+        dens = (n - 2) * _log_cos(theta) + log_w
+        return float(logsumexp(dens + half_nb2 * np.sin(theta) ** k) - logsumexp(dens))
+
+    # exact bound for theta >= 0; for odd k, sin(theta)^k < 0 below 0
+    cut, sizes = _theta_cut(n, half_nb2, 0.5 * k), tuple(2**p for p in range(4, 22))
+    cur, err, nodes = _refine_theta(log_ratio, -cut, cut, sizes, True)
     log_sm = _clamp_log_moment(cur, "symmetric quadrature")
     return SecondMomentResult(
-        "sym", k, n, beta, log_sm, err, _implied_tv(log_sm), "quadrature", m + 1
+        "sym", k, n, beta, log_sm, err, _implied_tv(log_sm), "quadrature", nodes
     )
 
 
@@ -265,20 +255,20 @@ def _log_mgf(s, n: int) -> np.ndarray:
     return out
 
 
-def _asym_theta_cut(n: int, c: float) -> float:
-    """Theta beyond which the asymmetric integrands stay below exp(-140).
+def _theta_cut(n: int, q: float, p: float) -> float:
+    """Theta in [0, pi/2] beyond which an integrand stays below exp(-140).
 
-    E exp(sT) <= exp(s^2 / (2n)) and the other overlap of k = 3 only
-    shrinks s, so on every axis the log integrand (0 at theta = 0) is at
-    most a log(u) + q (1 - u), u = cos(theta)^2, a = (n - 2)/2 and
-    q = c^2 / (2n). Fixed-point iteration from u = 0 climbs to its
-    smallest root at -140; stopping early only widens the interval.
+    The caller's log integrand must be 0 at theta = 0 and at most
+    a log(u) + q (1 - u)^p for |theta| beyond the cut, with u = cos(theta)^2
+    and a = (n - 2)/2. Fixed-point iteration from u = 0 climbs to the
+    smallest root of that bound at -140; stopping early only widens the
+    interval.
     """
     if n == 2:
         return math.pi / 2.0
-    a, q, u = 0.5 * (n - 2), 0.5 * c * c / n, 0.0
+    a, u = 0.5 * (n - 2), 0.0
     for _ in range(100):
-        u = math.exp((q * u - q - 140.0) / a)
+        u = math.exp(-(q * (1.0 - u) ** p + 140.0) / a)
     return math.acos(math.sqrt(u))
 
 
@@ -294,17 +284,20 @@ def second_moment_asym(
     (T^2 ~ Beta(1/2, (n-1)/2) with a random sign), reporting the relative
     standard error in ``quadrature_error``. The Monte Carlo value is
     returned unclamped, so it can sit slightly below 0 within its noise.
+    ``seed`` must lie in [0, 2^64), the width of the generator key.
     """
     n = _check_dim(n)
     k = _check_order(k, 10)
     lam = _check_strength(lam, "lam")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ContractError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if lam == 0.0:
         return SecondMomentResult("asym", k, n, 0.0, 0.0, 0.0, 0.0, "quadrature", 0)
     if k in (2, 3):
         c = n * lam * lam
 
         def log_ratio(theta, log_w):
-            log_d = (n - 2) * np.log(np.cos(theta)) + log_w
+            log_d = (n - 2) * _log_cos(theta) + log_w
             sin = np.sin(theta)
             if k == 2:
                 return float(logsumexp(log_d + _log_mgf(c * sin, n)) - logsumexp(log_d))
@@ -315,7 +308,11 @@ def second_moment_asym(
             ]
             return float(logsumexp(rows) - 2.0 * logsumexp(log_d))
 
-        cur, err, nodes = _refine_theta(log_ratio, 0.0, _asym_theta_cut(n, c), _ASYM_NODES[k], True)
+        # E exp(sT) <= exp(s^2 / 2n) and the other overlap of k = 3 only
+        # shrinks s, so q = c^2 / 2n with p = 1 bounds every axis
+        cut = _theta_cut(n, 0.5 * c * c / n, 1.0)
+        sizes = tuple(2**p for p in range(4, 13 if k == 2 else 12))
+        cur, err, nodes = _refine_theta(log_ratio, 0.0, cut, sizes, True)
         log_sm = _clamp_log_moment(cur, "asymmetric quadrature")
         return SecondMomentResult(
             "asym", k, n, lam, log_sm, err, _implied_tv(log_sm), "quadrature", nodes

@@ -371,7 +371,12 @@ def save_tensor(x, path) -> None:
 
 
 def load_tensor(path, *, entry_budget=None) -> DenseTensor:
-    with open(path, "rb") as fh:
+    """Read a tensor written by ``save_tensor``; an unreadable path is a ContractError."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ContractError(f"cannot read tensor file {str(path)!r}: {exc.strerror or exc}") from None
+    with fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
             raise ContractError("truncated tensor file: short header")
@@ -415,7 +420,10 @@ def tensor_from_json(text: str) -> DenseTensor:
         if type(obj[field]) is not int:
             raise ContractError(f"tensor JSON field {field!r} must be an integer, got {obj[field]!r}")
     try:
-        entries = np.asarray(obj["entries"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        entries = np.asarray(obj["entries"], dtype=object)
+        if any(v is None for v in entries.flat):  # float64 would read null as NaN
+            raise ValueError("null entry")
+        entries = entries.astype(np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ContractError(f"tensor JSON field 'entries' must be a list of numbers: {exc}") from None
     return DenseTensor(entries, order=obj["k"], dim=obj["n"])

@@ -95,6 +95,16 @@ def test_second_moment_asym_mc_payload(capsys):
     assert payload["seed"] == 7
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_second_moment_out_of_range_seed_exits_one(capsys, seed):
+    code, out, err = run_cli(
+        capsys, "second-moment", "--model", "asym", "--k", "4", "--n", "30",
+        "--strength", "1.1", "--mc-samples", "64", "--seed", seed,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: seed must be") and err.count("\n") == 1
+
+
 def test_sample_inline_tensor_matches_library(capsys):
     spec_json = json.dumps({"model": "goe", "n": 20, "seed": 5})
     payload = run_json(capsys, "sample", "--spec", spec_json, "--trial", "2")

@@ -15,7 +15,6 @@ from spiked_lab.ensembles import (
     batch_statistics,
     sample_asym_noise,
     sample_goe,
-    sample_hidden_clique,
     sample_sphere,
     sample_sym_noise,
     sample_trial,

@@ -144,6 +144,26 @@ def test_second_moment_sym_k2_matches_confluent_series(n, beta):
     assert r.model == "sym" and r.strength == beta
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("beta", [0.9, 1.5])
+def test_second_moment_sym_k2_small_n_matches_confluent_series(n, beta):
+    # at odd n the theta integrand has odd endpoint derivatives (cos(theta)
+    # at n = 3), so a rule that leans on periodicity stalls near 1e-10
+    import mpmath as mp
+
+    r = second_moment_sym(beta, n, 2)
+    with mp.workdps(50):
+        want = float(mp.log(mp.hyp1f1(mp.mpf("0.5"), mp.mpf(n) / 2, n * mp.mpf(beta) ** 2 / 2)))
+    assert r.log_second_moment == pytest.approx(want, abs=1e-12)
+
+
+def test_second_moment_sym_k2_huge_dimension():
+    # the density is ~3e-5 wide in theta here; the cut keeps the rule on it
+    beta = 0.5
+    r = second_moment_sym(beta, 10**9, 2)
+    assert r.log_second_moment == pytest.approx(-0.5 * math.log1p(-beta * beta), abs=1e-8)
+
+
 def test_second_moment_sym_k2_gaussian_limit():
     r = second_moment_sym(0.7, 100000, 2)
     assert math.exp(r.log_second_moment) == pytest.approx(1.0 / math.sqrt(1 - 0.49), rel=0.01)
@@ -290,6 +310,18 @@ def test_second_moment_asym_k4_monte_carlo_matches_series():
     assert r.nodes == 1 << 17
     # quadrature_error carries the relative standard error of the MC mean
     assert abs(r.log_second_moment - want) <= 4.0 * r.quadrature_error + 1e-12
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 1.0], ids=["negative", "2^64", "bool", "float"])
+def test_second_moment_asym_refuses_seeds_that_alias(seed):
+    # the generator key is 64 bits wide: -1 and 2^64 would run as 2^64 - 1 and 0
+    with pytest.raises(ContractError, match="seed"):
+        second_moment_asym(1.0, 25, 5, mc_samples=64, seed=seed)
+
+
+def test_second_moment_asym_accepts_the_widest_seed():
+    r = second_moment_asym(1.0, 25, 5, mc_samples=64, seed=2**64 - 1)
+    assert r.method == "monte_carlo"
 
 
 def test_second_moment_asym_mc_reproducible():

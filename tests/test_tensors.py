@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -226,6 +227,13 @@ def test_load_rejects_corruption(tmp_path):
         load_tensor(truncated)
 
 
+@pytest.mark.parametrize("name", ["missing.spkt", "."], ids=["missing", "directory"])
+def test_load_unreadable_path_raises_contract_error_naming_it(tmp_path, name):
+    path = str(tmp_path / name)
+    with pytest.raises(ContractError, match=re.escape(repr(path))):
+        load_tensor(path)
+
+
 def test_json_roundtrip():
     t = DenseTensor(random_tensor(3, 3, 30))
     back = tensor_from_json(tensor_to_json(t))
@@ -240,8 +248,9 @@ def test_json_roundtrip():
         '{"k": 2, "n": 2, "entries": "ab"}',
         '{"k": "x", "n": 2, "entries": [1, 2, 3, 4]}',
         '{"k": 2, "n": "x", "entries": [1, 2, 3, 4]}',
+        '{"k": 2, "n": 2, "entries": [1, 2, 3, null]}',
     ],
-    ids=["truncated", "not-an-object", "entries-text", "k-text", "n-text"],
+    ids=["truncated", "not-an-object", "entries-text", "k-text", "n-text", "entries-null"],
 )
 def test_json_malformed_input_raises_contract_error(text):
     with pytest.raises(ContractError):
