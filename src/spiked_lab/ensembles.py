@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, _finite_number
+from .errors import ConfigError, ContractError, _check_count, _check_order, _finite_number
 from .tensors import DenseTensor, SymmetricTensor, UnitVector, outer_power, symmetrize
 
 MODELS = ("goe", "sym_noise", "asym_noise", "sym_spiked", "asym_spiked", "hidden_clique")
@@ -196,8 +196,7 @@ class EnsembleSpec:
 
 def sample_sphere(n: int, rng: np.random.Generator) -> UnitVector:
     """Uniform point on the unit sphere of R^n (normalized Gaussian)."""
-    if n < 1:
-        raise ContractError(f"dimension must be >= 1, got {n}")
+    n = _check_count(n, "dimension", 1)
     while True:
         g = rng.standard_normal(n)
         norm = np.linalg.norm(g)
@@ -212,8 +211,7 @@ def sample_sym_noise(n: int, k: int, rng: np.random.Generator) -> SymmetricTenso
     Gaussian orthogonal ensemble normalized so the spectrum converges to
     [-2, 2].
     """
-    if k < 2 or k > 10:
-        raise ContractError(f"symmetric noise supports 2 <= k <= 10, got {k}")
+    k = _check_order(k, 10)
     g = rng.standard_normal((n,) * k)
     sym = symmetrize(g)
     return SymmetricTensor(math.sqrt(2.0 / n) * sym.array, check=False)
@@ -226,8 +224,7 @@ def sample_goe(n: int, rng: np.random.Generator) -> SymmetricTensor:
 
 def sample_asym_noise(n: int, k: int, rng: np.random.Generator) -> DenseTensor:
     """Tensor with iid N(0, 1/n) entries."""
-    if k < 2:
-        raise ContractError(f"order must be >= 2, got {k}")
+    k = _check_order(k)
     return DenseTensor(rng.standard_normal((n,) * k) / math.sqrt(n))
 
 
@@ -335,8 +332,7 @@ def batch_statistics(
     Worker threads partition the trial range; results land in a preallocated
     array indexed by trial, so the outcome is identical for any worker count.
     """
-    if trials < 1:
-        raise ContractError(f"trials must be >= 1, got {trials}")
+    trials = _check_count(trials, "trials", 1)
     values = np.empty(trials, dtype=np.float64)
 
     def run_range(lo: int, hi: int):

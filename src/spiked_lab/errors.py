@@ -47,6 +47,13 @@ def _check_order(k, max_order: float = math.inf) -> int:
     return int(k)
 
 
+def _check_count(value, name: str, lo: int) -> int:
+    """A sample or iteration count: an integer >= ``lo`` (bools refused)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < lo:
+        raise ContractError(f"{name} must be an integer >= {lo}, got {value!r}")
+    return int(value)
+
+
 def _finite_number(value, field: str) -> float:
     """A finite spec number as a float; bools are refused, not read as 0 or 1."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):

@@ -26,35 +26,31 @@ from .ensembles import (
     EnsembleSpec,
     SampleBatch,
     batch_statistics,
-    sample_sphere,
     trial_rng,
 )
 from .errors import (
     ConfigError,
     ContractError,
     NumericalFailure,
+    SizingError,
+    _check_count,
     _check_order,
     _check_strength,
     _finite_number,
 )
 from .spectra import eigvals_sym, ks_distance
-from .tensors import _as_array, frobenius, operator_norm_lb
+from .tensors import DEFAULT_ENTRY_BUDGET, _as_array, frobenius, operator_norm_lb
 
 _LOG_TOL_1D = 1e-10
 _GL16_X, _GL16_W = roots_legendre(16)
 _MC_STREAM = 5
+_LR_BLOCK_ENTRIES = 1 << 14
 _TV_VACUOUS = "vacuous"
-
-
-def _check_dim(n) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
-        raise ContractError(f"dimension n must be an integer >= 2, got {n!r}")
-    return int(n)
 
 
 def log_cn(n: int) -> float:
     """Log normalizer of the first-coordinate density on the unit sphere."""
-    n = _check_dim(n)
+    n = _check_count(n, "dimension n", 2)
     return math.lgamma(n / 2.0) - 0.5 * math.log(math.pi) - math.lgamma((n - 1) / 2.0)
 
 
@@ -64,7 +60,7 @@ def first_coord_log_density(t: float, n: int) -> float:
     At |t| = 1 the value is -inf for n > 3, the constant log(1/2) for n = 3,
     and +inf for n = 2 (integrable endpoint blowup).
     """
-    n = _check_dim(n)
+    n = _check_count(n, "dimension n", 2)
     if not math.isfinite(t) or abs(t) > 1.0:
         raise ContractError(f"t must lie in [-1, 1], got {t!r}")
     if abs(t) == 1.0:
@@ -117,7 +113,7 @@ def first_coord_tail_logprob(a: float, n: int) -> float:
     For a >= 0 the value is capped at the exact bound log(1/2) and negative
     a goes through the complement, which keeps the result monotone in a.
     """
-    n = _check_dim(n)
+    n = _check_count(n, "dimension n", 2)
     if not math.isfinite(a) or abs(a) > 1.0:
         raise ContractError(f"a must lie in [-1, 1], got {a!r}")
     if a == 1.0:
@@ -194,7 +190,7 @@ def second_moment_sym(beta: float, n: int, k: int) -> SecondMomentResult:
     theta with 16 up to 2^21 nodes on [-theta_max, theta_max], beyond which
     the integrand is below exp(-140) of its value at theta = 0.
     """
-    n = _check_dim(n)
+    n = _check_count(n, "dimension n", 2)
     k = _check_order(k, 10)
     beta = _check_strength(beta, "beta")
     if beta == 0.0:
@@ -286,7 +282,7 @@ def second_moment_asym(
     returned unclamped, so it can sit slightly below 0 within its noise.
     ``seed`` must lie in [0, 2^64), the width of the generator key.
     """
-    n = _check_dim(n)
+    n = _check_count(n, "dimension n", 2)
     k = _check_order(k, 10)
     lam = _check_strength(lam, "lam")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
@@ -317,8 +313,9 @@ def second_moment_asym(
         return SecondMomentResult(
             "asym", k, n, lam, log_sm, err, _implied_tv(log_sm), "quadrature", nodes
         )
-    if mc_samples < 2:
-        raise ContractError(f"mc_samples must be >= 2, got {mc_samples!r}")
+    mc_samples = _check_count(mc_samples, "mc_samples", 2)
+    if mc_samples * k > DEFAULT_ENTRY_BUDGET:
+        raise SizingError(f"mc_samples={mc_samples} times k={k} exceeds the entry budget")
     rng = trial_rng(seed, 0, _MC_STREAM)
     t2 = rng.beta(0.5, (n - 1) / 2.0, size=(mc_samples, k))
     signs = 2.0 * rng.integers(0, 2, size=(mc_samples, k)) - 1.0
@@ -347,36 +344,37 @@ class LikelihoodRatioEstimate:
     n_samples: int
 
 
-def _contract_all(arr: np.ndarray, v: np.ndarray) -> float:
-    w = arr
-    for _ in range(arr.ndim):
-        w = np.tensordot(w, v, axes=([w.ndim - 1], [0]))
-    return float(w)
-
-
 def likelihood_ratio_mc(
     x, beta: float, n_samples: int = 2048, rng: np.random.Generator | None = None
 ) -> LikelihoodRatioEstimate:
     """Estimate the spiked-vs-noise likelihood ratio by spherical averaging.
 
     Averages exp((n beta / 2) <X, v^(x)k> - n beta^2 / 4) over uniform
-    directions v. Zero beta short-circuits to the exact value 1.
+    directions v. Zero beta short-circuits to the exact value 1. Directions
+    are drawn as blocks of rows, which uses ``rng`` exactly as sequential
+    ``sample_sphere`` calls do; a block holds max(1, 2^14 // n^(k-1)) of
+    them, so memory does not grow with ``n_samples``.
     """
     beta = _check_strength(beta, "beta")
     arr, k, n = _as_array(x)
-    if k < 2:
-        raise ContractError("likelihood_ratio_mc expects a cubic tensor of order >= 2")
+    _check_order(k)
     if beta == 0.0:
         return LikelihoodRatioEstimate(0.0, 1.0, 0.0, False, 0)
-    if n_samples < 2:
-        raise ContractError(f"n_samples must be >= 2, got {n_samples!r}")
+    n_samples = _check_count(n_samples, "n_samples", 2)
+    if n_samples > DEFAULT_ENTRY_BUDGET:
+        raise SizingError(f"n_samples={n_samples} exceeds the entry budget")
     if rng is None:
         rng = np.random.default_rng(0)
-    shift = -0.25 * n * beta * beta
-    logw = np.empty(n_samples)
-    for j in range(n_samples):
-        v = sample_sphere(n, rng).coords
-        logw[j] = 0.5 * n * beta * _contract_all(arr, v) + shift
+    block = max(1, _LR_BLOCK_ENTRIES // n ** (k - 1))
+    contracted = np.empty(n_samples)
+    for lo in range(0, n_samples, block):
+        g = rng.standard_normal((min(block, n_samples - lo), n))
+        vt = (g / np.linalg.norm(g, axis=1, keepdims=True)).T
+        w = arr.reshape(-1, n) @ vt
+        for _ in range(k - 1):
+            w = np.einsum("ijs,js->is", w.reshape(-1, n, vt.shape[1]), vt)
+        contracted[lo : lo + vt.shape[1]] = w[0]
+    logw = 0.5 * n * beta * contracted - 0.25 * n * beta * beta
     top = float(np.max(logw))
     u = np.exp(logw - top)
     total = float(np.sum(u))

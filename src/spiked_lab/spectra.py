@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NumericalFailure
-from .tensors import _as_array
+from .tensors import SymmetricTensor, _as_array
 
 _SYMMETRY_TOL = 1e-10
 
@@ -42,19 +42,20 @@ class Spectrum:
 def eigvals_sym(x, vectors: bool = False):
     """Full symmetric eigendecomposition, eigenvalues descending.
 
-    Input must be symmetric within 1e-10 (scaled by the largest entry).
-    With ``vectors=True`` returns (Spectrum, V) where column i of V pairs
-    with eigenvalue i, and the Spectrum carries the max residual
-    |X v - lambda v|.
+    Input must be symmetric within 1e-10 (scaled by the largest entry); a
+    SymmetricTensor is exactly symmetric by type and skips that check. With
+    ``vectors=True`` returns (Spectrum, V) where column i of V pairs with
+    eigenvalue i, and the Spectrum carries the max residual |X v - lambda v|.
     """
-    arr, k, _ = _as_array(x)
+    sym, k, _ = _as_array(x)
     if k != 2:
         raise ContractError(f"expected a square matrix, got order {k}")
-    scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0)
-    asym = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
-    if asym > _SYMMETRY_TOL * scale:
-        raise ContractError(f"matrix is not symmetric: max |X - X^T| = {asym:g}")
-    sym = (arr + arr.T) / 2.0
+    if not isinstance(x, SymmetricTensor):
+        scale = max(1.0, float(np.max(np.abs(sym))) if sym.size else 1.0)
+        asym = float(np.max(np.abs(sym - sym.T))) if sym.size else 0.0
+        if asym > _SYMMETRY_TOL * scale:
+            raise ContractError(f"matrix is not symmetric: max |X - X^T| = {asym:g}")
+        sym = (sym + sym.T) / 2.0
     try:
         if vectors:
             w, v = np.linalg.eigh(sym)
@@ -62,10 +63,9 @@ def eigvals_sym(x, vectors: bool = False):
             w = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver did not converge: {exc}", partial={"matrix": sym}) from exc
-    order = np.argsort(w)[::-1]
-    w = np.ascontiguousarray(w[order])
+    w = np.ascontiguousarray(w[::-1])  # the solvers return ascending order
     if vectors:
-        v = np.ascontiguousarray(v[:, order])
+        v = np.ascontiguousarray(v[:, ::-1])
         residual = float(np.max(np.linalg.norm(sym @ v - v * w, axis=0))) if w.size else 0.0
         return Spectrum(eigenvalues=w, residual=residual), v
     return Spectrum(eigenvalues=w)

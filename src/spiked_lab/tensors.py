@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, SizingError
+from .errors import ContractError, SizingError, _check_count
 
 DEFAULT_ENTRY_BUDGET = 10**8
 
@@ -60,8 +60,7 @@ class DenseTensor:
         arr = np.asarray(array, dtype=np.float64)
         if order is None:
             order = arr.ndim
-        if order < 1:
-            raise ContractError(f"tensor order must be >= 1, got {order}")
+        order = _check_count(order, "tensor order", 1)
         if dim is None:
             if arr.ndim == order:
                 dims = set(arr.shape)
@@ -70,15 +69,14 @@ class DenseTensor:
                 dim = arr.shape[0]
             else:
                 raise ContractError("dim required when constructing from flat entries")
-        if dim < 1:
-            raise ContractError(f"tensor dimension must be >= 1, got {dim}")
+        dim = _check_count(dim, "tensor dimension", 1)
         count = _check_budget(dim, order, entry_budget)
         if arr.size != count:
             raise ContractError(
                 f"entry count {arr.size} does not match n^k = {dim}^{order} = {count}"
             )
-        object.__setattr__(self, "order", int(order))
-        object.__setattr__(self, "dim", int(dim))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "array", _freeze(arr.reshape((dim,) * order)))
 
     def __setattr__(self, name, value):
@@ -234,8 +232,7 @@ def _exactly_symmetric(arr: np.ndarray, sample_tuples: int = 128) -> bool:
 
 def outer_power(v: UnitVector | np.ndarray, k: int, *, entry_budget=None) -> SymmetricTensor:
     """Rank-one symmetric tensor v^(tensor k): entry (i_1..i_k) = prod_j v_{i_j}."""
-    if k < 1:
-        raise ContractError(f"order must be >= 1, got {k}")
+    k = _check_count(k, "order", 1)
     coords = v.coords if isinstance(v, UnitVector) else np.asarray(v, dtype=np.float64)
     if coords.ndim != 1:
         raise ContractError("outer_power expects a vector")
@@ -312,8 +309,8 @@ def operator_norm_lb(
     """
     if not isinstance(x, SymmetricTensor):
         raise ContractError("operator_norm_lb expects a SymmetricTensor")
-    if restarts < 1 or iters < 1:
-        raise ContractError("restarts and iters must be >= 1")
+    restarts = _check_count(restarts, "restarts", 1)
+    iters = _check_count(iters, "iters", 1)
     if rng is None:
         rng = np.random.default_rng(0)
     arr, k, n = x.array, x.order, x.dim

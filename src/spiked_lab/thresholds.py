@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .errors import ContractError, _check_order, _check_strength
+from .errors import ContractError, _check_count, _check_order, _check_strength
 
 _Q_LO = 1e-10
 _Q_HI = 1.0 - 1e-12
@@ -236,8 +236,7 @@ def g_lambda_max(lam: float, k: int, n_starts: int = 100, seed: int = 0) -> Asce
     """
     k = _check_order(k)
     _check_strength(lam, "lambda")
-    if not isinstance(n_starts, (int, np.integer)) or n_starts < 1:
-        raise ContractError(f"n_starts must be a positive integer, got {n_starts!r}")
+    n_starts = _check_count(n_starts, "n_starts", 1)
     lam2 = lam * lam
 
     def neg_value(q):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import subprocess
@@ -103,6 +104,15 @@ def test_second_moment_out_of_range_seed_exits_one(capsys, seed):
     )
     assert code == 1 and out == ""
     assert err.startswith("error: seed must be") and err.count("\n") == 1
+
+
+def test_second_moment_oversized_monte_carlo_exits_one(capsys):
+    code, out, err = run_cli(
+        capsys, "second-moment", "--model", "asym", "--k", "4", "--n", "30",
+        "--strength", "1.1", "--mc-samples", "100000000000",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: mc_samples=") and err.count("\n") == 1
 
 
 def test_sample_inline_tensor_matches_library(capsys):
@@ -288,6 +298,12 @@ def test_public_surface_resolves_and_cli_reports_package_version(capsys):
     assert len(spiked_lab.__all__) == len(set(spiked_lab.__all__))
     for name in spiked_lab.__all__:
         assert hasattr(spiked_lab, name), name
+    bound = {
+        name
+        for name, value in vars(spiked_lab).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert bound - set(spiked_lab.__all__) == {"PackageNotFoundError", "version"}
     payload = run_json(capsys, "threshold", "--k", "2")
     assert payload["meta"]["package_version"] == spiked_lab.__version__
 

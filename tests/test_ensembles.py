@@ -319,6 +319,12 @@ def test_batch_statistics_sub_seeds_match_scheme():
     assert batch.sub_seeds == tuple(sub_seed_hex(2, t, STREAM_SAMPLE, 7) for t in range(3))
 
 
+@pytest.mark.parametrize("bad", [0, 2.5, True])
+def test_batch_statistics_refuses_bad_trial_counts(bad):
+    with pytest.raises(ContractError, match="trials"):
+        batch_statistics(EnsembleSpec(model="goe", n=5, seed=2), bad, frob_stat)
+
+
 def test_batch_statistics_passes_context_through():
     spec = EnsembleSpec(model="goe", n=5, seed=2)
     a = batch_statistics(spec, 4, frob_stat, context=0)

@@ -18,10 +18,10 @@ from spiked_lab.ensembles import (
     sub_seed_hex,
     trial_rng,
 )
-from spiked_lab.errors import ConfigError, ContractError
+from spiked_lab.errors import ConfigError, ContractError, SizingError
 from spiked_lab.inference import (
+    _LR_BLOCK_ENTRIES,
     ExperimentSpec,
-    _check_dim,
     _check_order,
     _implied_tv,
     _log_mgf,
@@ -207,8 +207,11 @@ def test_second_moment_validation():
         second_moment_sym(1.0, 50, 11)
     with pytest.raises(ContractError):
         second_moment_sym(-0.5, 50, 3)
-    with pytest.raises(ContractError):
-        second_moment_asym(1.0, 50, 4, mc_samples=1)
+    for bad in (1, 2.5, True):
+        with pytest.raises(ContractError):
+            second_moment_asym(1.0, 50, 4, mc_samples=bad)
+    with pytest.raises(SizingError):  # 4 * 10^8 entries, refused before allocating
+        second_moment_asym(1.0, 50, 4, mc_samples=10**8)
 
 
 # --- second moments, asymmetric ------------------------------------------------
@@ -367,20 +370,38 @@ def test_lr_zero_strength_short_circuits():
     assert not est.dominated and est.n_samples == 0
 
 
-def test_lr_matches_manual_recomputation():
-    n = 12
-    x = sample_goe(n, trial_rng(5, 0))
+def _lr_block(n, k):
+    return max(1, _LR_BLOCK_ENTRIES // n ** (k - 1))
+
+
+# k = 3 and k = 4 span several blocks, the last one partial
+@pytest.mark.parametrize("k,n,s", [(2, 12, 64), (3, 30, 700), (4, 12, 400)])
+def test_lr_matches_manual_recomputation(k, n, s):
+    x = sample_trial(EnsembleSpec(model="sym_noise", n=n, k=k, seed=5), 0)
     beta = 0.8
-    est = likelihood_ratio_mc(x, beta, 64, np.random.default_rng(99))
+    if k > 2:
+        assert s > _lr_block(n, k) and s % _lr_block(n, k) != 0
+    est = likelihood_ratio_mc(x, beta, s, np.random.default_rng(99))
     rng = np.random.default_rng(99)
-    logw = np.empty(64)
-    for j in range(64):
+    axes = "abcd"[:k]
+    logw = np.empty(s)
+    for j in range(s):
         v = sample_sphere(n, rng).coords
-        val = float(np.einsum("ij,i,j->", x.array, v, v))
+        val = float(np.einsum(f"{axes},{','.join(axes)}->", x.array, *[v] * k))
         logw[j] = 0.5 * n * beta * val - 0.25 * n * beta * beta
-    want = float(logsumexp(logw)) - math.log(64)
+    want = float(logsumexp(logw)) - math.log(s)
     assert est.log_estimate == pytest.approx(want, rel=1e-12)
     assert est.estimate == pytest.approx(math.exp(want), rel=1e-12)
+
+
+def test_lr_consumes_the_stream_of_sequential_sphere_draws():
+    n, k, s = 30, 3, 700
+    x = sample_trial(EnsembleSpec(model="sym_noise", n=n, k=k, seed=2), 0)
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    likelihood_ratio_mc(x, 1.0, s, rng)
+    for _ in range(s):
+        sample_sphere(n, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_lr_unbiased_under_noise():
@@ -410,8 +431,11 @@ def test_lr_validation():
     x = sample_goe(8, trial_rng(0, 0))
     with pytest.raises(ContractError):
         likelihood_ratio_mc(np.zeros((3, 4)), 1.0)
-    with pytest.raises(ContractError):
-        likelihood_ratio_mc(x, 1.0, n_samples=1)
+    for bad in (1, 2.5, True):
+        with pytest.raises(ContractError):
+            likelihood_ratio_mc(x, 1.0, n_samples=bad)
+    with pytest.raises(SizingError):
+        likelihood_ratio_mc(x, 1.0, n_samples=10**8 + 1)
     with pytest.raises(ContractError):
         likelihood_ratio_mc(x, -1.0)
     # the default generator is fixed, so repeat calls agree
@@ -578,13 +602,13 @@ def test_experiment_spec_seed_below_2_63():
 
 
 def test_check_dim_and_order_reject_bool():
-    with pytest.raises(ContractError):
-        _check_dim(True)
+    with pytest.raises(ContractError, match="dimension n"):
+        second_moment_sym(0.5, True, 3)
     with pytest.raises(ContractError):
         _check_order(True)
     with pytest.raises(ContractError):
         second_moment_asym(0.5, 50, True)
-    assert _check_dim(np.int64(5)) == 5 and _check_order(3) == 3
+    assert log_cn(np.int64(5)) == log_cn(5) and _check_order(3) == 3
 
 
 def test_experiment_spec_validation():

@@ -57,6 +57,8 @@ def test_eigvals_accepts_symmetric_tensor_input():
     m = sym_matrix(6, 4)
     t = SymmetricTensor(m)
     assert np.array_equal(eigvals_sym(t).eigenvalues, eigvals_sym(m).eigenvalues)
+    (st, vt), (sm, vm) = eigvals_sym(t, vectors=True), eigvals_sym(m, vectors=True)
+    assert np.array_equal(vt, vm) and st.residual == sm.residual
 
 
 def test_eigvals_rejects_asymmetric():

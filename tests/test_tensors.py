@@ -193,6 +193,13 @@ def test_operator_norm_rejects_plain_dense():
         operator_norm_lb(DenseTensor(np.zeros((3, 3))))
 
 
+@pytest.mark.parametrize("field", ["restarts", "iters"])
+@pytest.mark.parametrize("bad", [0, 2.5, True])
+def test_operator_norm_refuses_bad_counts(field, bad):
+    with pytest.raises(ContractError, match=field):
+        operator_norm_lb(SymmetricTensor(np.eye(3)), **{field: bad})
+
+
 def test_operator_norm_is_lower_bound_for_matrices():
     rng = np.random.default_rng(99)
     for trial in range(5):

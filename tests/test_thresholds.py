@@ -219,8 +219,9 @@ def test_g_lambda_max_finds_stationary_value_above_fold():
 def test_g_lambda_max_validation():
     with pytest.raises(ContractError):
         g_lambda_max(-1.0, 3)
-    with pytest.raises(ContractError):
-        g_lambda_max(1.0, 3, n_starts=0)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ContractError):
+            g_lambda_max(1.0, 3, n_starts=bad)
 
 
 # --- rate function -----------------------------------------------------------
