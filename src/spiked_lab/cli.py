@@ -101,15 +101,12 @@ def _cmd_threshold(args) -> dict:
 
 def _cmd_second_moment(args) -> dict:
     if args.model == "sym":
-        result = second_moment_sym(args.strength, args.n, args.k)
-    else:
-        result = second_moment_asym(
-            args.strength, args.n, args.k, mc_samples=args.mc_samples, seed=args.seed or 0
-        )
-    payload = result.to_json_dict()
-    if result.method == "monte_carlo":
-        payload["seed"] = args.seed or 0
-    return payload
+        return second_moment_sym(args.strength, args.n, args.k).to_json_dict()
+    seed = args.seed or 0
+    result = second_moment_asym(
+        args.strength, args.n, args.k, mc_samples=args.mc_samples, seed=seed
+    )
+    return {**result.to_json_dict(), "seed": seed}
 
 
 def _cmd_sample(args) -> dict:
@@ -189,8 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--strength", type=float, required=True)
-    p.add_argument("--mc-samples", type=int, default=1 << 17, help="asym k >= 4 only")
-    p.add_argument("--seed", type=int, default=None, help="asym k >= 4 only")
+    no_effect = "accepted for compatibility; no effect"
+    p.add_argument("--mc-samples", type=int, default=1 << 17, help=no_effect)
+    p.add_argument("--seed", type=int, default=None, help=no_effect)
     p.set_defaults(func=_cmd_second_moment)
 
     p = sub.add_parser("sample", help="draw one tensor from an ensemble spec")

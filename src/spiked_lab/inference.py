@@ -1,25 +1,24 @@
 """Detection machinery: exact marginals, second moments, tests, experiments.
 
-The overlap of a uniform unit vector with any fixed direction has density
-proportional to (1 - t^2)^((n-3)/2) on [-1, 1]. Everything here that
-integrates against that density substitutes t = sin(theta) first: the
-integrand becomes cos(theta)^(n-2) times a smooth factor on
-[-pi/2, pi/2], which kills the n = 2 endpoint singularity. Every theta
-integral then goes through one composite Gauss-Legendre rule, which
-converges fast for every n, odd or even.
-
-Second moments of the likelihood ratio are computed self-normalized: the
-numerator and the density normalization use the same nodes and weights, so
-shared quadrature error cancels and zero signal strength returns exactly 0.
+The overlap T of a uniform unit vector with any fixed direction has density
+proportional to (1 - t^2)^((n-3)/2) on [-1, 1] and even moments
+E T^(2m) = (1/2)_m / (n/2)_m. The second moments of the likelihood ratio
+are power series in the signal strength with these moments in their
+coefficients, every term positive, summed exactly in log space. Only the
+tail probability integrates the density: with t = sin(theta) the integrand
+becomes cos(theta)^(n-2) on [-pi/2, pi/2], which removes the n = 2
+endpoint singularity, and a composite Gauss-Legendre rule does the rest.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import ive, logsumexp, roots_legendre
+from scipy.optimize import brentq
+from scipy.special import gammaln, logsumexp, roots_legendre
 
 from .ensembles import (
     STREAM_TEST,
@@ -43,7 +42,10 @@ from .tensors import DEFAULT_ENTRY_BUDGET, _as_array, frobenius, operator_norm_l
 
 _LOG_TOL_1D = 1e-10
 _GL16_X, _GL16_W = roots_legendre(16)
-_MC_STREAM = 5
+_SERIES_BLOCK = 1024
+_SERIES_MAX_TERMS = 1 << 22
+_SERIES_MAX_INDEX = 2.0**52
+_LOG_SERIES_DROP = -40.0
 _LR_BLOCK_ENTRIES = 1 << 14
 _TV_VACUOUS = "vacuous"
 
@@ -77,38 +79,13 @@ def _log_cos(theta):
     return 0.5 * np.log1p(-np.sin(theta) ** 2)
 
 
-def _refine_theta(log_integral, lo, hi, sizes, relative):
-    """Composite Gauss-Legendre in theta on [lo, hi], node counts from ``sizes``.
-
-    A count m splits the interval into m/16 equal panels with the 16-point
-    rule on each, so a rule costs O(m). ``log_integral(theta, log_w)`` gets
-    the nodes and the log weights of the composite rule mapped to [-1, 1]
-    (they sum to 2). Stops once two values differ by at most 1e-10, times
-    max(1, |value|) if ``relative``. Returns value, increment and nodes.
-    """
-    half = 0.5 * (hi - lo)
-    prev = None
-    for m in sizes:
-        panels = m // 16
-        x = ((2.0 * np.arange(panels) + 1.0)[:, None] + _GL16_X).ravel() / panels - 1.0
-        cur = log_integral(0.5 * (hi + lo) + half * x, np.tile(np.log(_GL16_W / panels), panels))
-        if prev is not None:
-            err = abs(cur - prev)
-            if err <= _LOG_TOL_1D * (max(1.0, abs(cur)) if relative else 1.0):
-                return cur, err, m
-        prev = cur
-    raise NumericalFailure(
-        "Gauss-Legendre quadrature did not stabilize",
-        partial={"log_value": prev, "quadrature_error": err},
-    )
-
-
 def first_coord_tail_logprob(a: float, n: int) -> float:
     """log P(first coordinate >= a), by log-space composite Gauss-Legendre in theta.
 
     The integrand cos(theta)^(n-2) decays geometrically away from its
     maximum, so the interval is first cut where the log integrand has
-    fallen by 140 (a relative exp(-140) truncation), then node counts are
+    fallen by 140 (a relative exp(-140) truncation). A node count m splits
+    the interval into m/16 panels with the 16-point rule on each; m is
     doubled from 128 to 4096 until the log value moves by less than 1e-10.
     For a >= 0 the value is capped at the exact bound log(1/2) and negative
     a goes through the complement, which keeps the result monotone in a.
@@ -125,13 +102,24 @@ def first_coord_tail_logprob(a: float, n: int) -> float:
     lo, hi = math.asin(a), math.pi / 2.0
     if n > 3:
         hi = min(hi, math.acos(math.cos(lo) * math.exp(-140.0 / (n - 2))))
-    lc, log_half = log_cn(n), math.log(0.5 * (hi - lo))
-
-    def log_tail(theta, log_w):
-        return float(logsumexp(lc + (n - 2) * _log_cos(theta) + log_w)) + log_half
-
-    log_p = _refine_theta(log_tail, lo, hi, (128, 256, 512, 1024, 2048, 4096), False)[0]
-    return min(log_p, -math.log(2.0))
+    half = 0.5 * (hi - lo)
+    lc, log_half = log_cn(n), math.log(half)
+    prev = None
+    for m in (128, 256, 512, 1024, 2048, 4096):
+        panels = m // 16
+        x = ((2.0 * np.arange(panels) + 1.0)[:, None] + _GL16_X).ravel() / panels - 1.0
+        theta = 0.5 * (hi + lo) + half * x
+        log_w = np.tile(np.log(_GL16_W / panels), panels)
+        cur = float(logsumexp(lc + (n - 2) * _log_cos(theta) + log_w)) + log_half
+        if prev is not None:
+            err = abs(cur - prev)
+            if err <= _LOG_TOL_1D:
+                return min(cur, -math.log(2.0))
+        prev = cur
+    raise NumericalFailure(
+        "Gauss-Legendre quadrature did not stabilize",
+        partial={"log_value": prev, "quadrature_error": err},
+    )
 
 
 @dataclass(frozen=True)
@@ -140,8 +128,9 @@ class SecondMomentResult:
 
     ``implied_tv_upper`` is sqrt(exp(L) - 1)/2 when that is an informative
     bound and the string "vacuous" when it reaches 1 or overflows.
-    ``quadrature_error`` is the last node-doubling increment for quadrature
-    and the relative standard error for the Monte Carlo path.
+    ``method`` is "series": ``nodes`` counts the series terms summed and
+    ``quadrature_error`` bounds the relative mass of the terms left out,
+    which bounds the absolute error of the log value.
     """
 
     model: str
@@ -161,111 +150,146 @@ class SecondMomentResult:
 def _implied_tv(log_sm: float):
     if log_sm > 700.0:
         return _TV_VACUOUS
-    excess = math.expm1(log_sm)
-    if excess <= 0.0:
-        # Monte Carlo estimates may sit a hair below a unit second moment
-        return 0.0
-    bound = 0.5 * math.sqrt(excess)
+    # the series never gives a negative log value; one passed in is floored
+    bound = 0.5 * math.sqrt(max(math.expm1(log_sm), 0.0))
     return bound if bound < 1.0 else _TV_VACUOUS
 
 
-def _clamp_log_moment(log_sm: float, context: str) -> float:
-    # The second moment is >= 1 for every model here (Jensen against a
-    # centered overlap), so a tiny negative value is quadrature noise.
-    if log_sm >= 0.0:
-        return log_sm
-    if log_sm >= -1e-9:
-        return 0.0
-    raise NumericalFailure(
-        f"{context} produced log second moment {log_sm}, below the noise floor",
-        partial={"log_second_moment": log_sm},
-    )
+def _log_rising_excess(g: float, m: np.ndarray) -> np.ndarray:
+    """log (g)_m - m log g, with a rounding error that grows with m, not with g.
+
+    The gammaln difference loses about eps g log g (3e-7 at g = 5e8), so
+    from g = 100 on the Stirling series of both log-gammas is subtracted in
+    closed form: (g + m - 1/2) log1p(m/g) - m plus the difference of the
+    1/(12x) - 1/(360x^3) + 1/(1260x^5) corrections, whose truncation stays
+    below 1e-17 there.
+    """
+    if g < 100.0:
+        return gammaln(g + m) - gammaln(g) - m * math.log(g)
+
+    def corr(x):
+        return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * x * x)) / (x * x)) / x
+
+    x = g + m
+    return (x - 0.5) * np.log1p(m / g) - m + (corr(x) - corr(g))
+
+
+def _log_series(log_x: float, pos, neg) -> tuple[float, float, int]:
+    """log of sum_i x^i prod_p (p)_i / prod_q (q)_i, a series of positive terms.
+
+    ``neg`` holds the 1 of i! and outnumbers ``pos`` once shared entries
+    cancel, so the log term ratio rho(i) = log x + sum log(i + p) -
+    sum log(i + q) falls without bound; its slope is negative past
+    ``settle``. When every q exceeds every p the slope changes sign at most
+    once (Descartes' rule of signs for exponential sums, via the Laplace
+    transform), so the terms fall, rise to one interior mode and fall again.
+    Otherwise the few terms before ``settle`` are summed whole.
+
+    Blocks are summed down and up from the mode, never stopped on a small
+    term alone. The dip between the modes is skipped once both of its edges
+    are below exp(-40) of the larger mode over the mode index; past the last
+    index J the tail is at most t_J r / (1 - r), r = exp(max rho on [J, inf)).
+    Returns the log sum, a bound on the relative mass left out, and the
+    number of terms summed.
+    """
+    net = Counter(pos)
+    net.subtract(neg)
+    par = [(v, c) for v, c in net.items() if c]
+    ups, downs = [v for v, c in par if c > 0], [v for v, c in par if c < 0]
+    n_up = sum(c for _, c in par if c > 0)
+    n_down = n_up - sum(c for _, c in par)
+    slope = log_x + sum(c * math.log(v) for v, c in par)
+
+    def log_term(i):
+        return slope * i + sum(c * _log_rising_excess(v, i) for v, c in par)
+
+    def rho(i):
+        return log_x + sum(c * math.log(i + v) for v, c in par)
+
+    def d_rho(i):
+        return sum(c / (i + v) for v, c in par)
+
+    settle = max(0.0, (n_up * max(downs) - n_down * min(ups, default=0.0)) / (n_down - n_up))
+    if ups and max(ups) >= min(downs):
+        head = peak = math.ceil(settle)
+    else:
+        head, peak = 0, brentq(d_rho, 0.0, settle + 1.0) if d_rho(0.0) > 0.0 else 0.0
+    mode = head
+    if rho(peak) > 0.0:
+        far = 2.0 * peak + 1.0
+        while rho(far) > 0.0:
+            far *= 2.0
+            if far > _SERIES_MAX_INDEX:
+                raise NumericalFailure(f"the series peaks beyond term {_SERIES_MAX_INDEX:.3g}")
+        mode = max(head, math.ceil(brentq(rho, peak, far)))
+
+    top, rest, nodes = -math.inf, 0.0, 0  # the sum so far is exp(top) * (1 + rest)
+
+    def add(lo: int, hi: int) -> np.ndarray:
+        nonlocal top, rest, nodes
+        logs = log_term(np.arange(lo, hi, dtype=np.float64))
+        i = int(np.argmax(logs))
+        btop, bulk = float(logs[i]), np.exp(logs - logs[i])
+        bulk[i] = 0.0
+        brest = float(bulk.sum())
+        if btop > top:
+            top, btop, rest, brest = btop, top, brest, rest
+        rest += math.exp(btop - top) * (1.0 + brest)
+        nodes += hi - lo
+        if nodes > _SERIES_MAX_TERMS:
+            raise NumericalFailure(f"the series needs more than {_SERIES_MAX_TERMS} terms")
+        return logs
+
+    if head:
+        add(0, head)
+    log_skipped, lo, left, right = -math.inf, mode, head, mode
+    if mode > head:
+        log_tiny = float(log_term(np.array([head, mode], dtype=np.float64)).max())
+        log_tiny += _LOG_SERIES_DROP - math.log(mode + 1.0)
+        while lo > head:
+            lo, stop = max(head, lo - _SERIES_BLOCK), lo
+            if add(lo, stop)[0] <= log_tiny:
+                break
+        while left < lo:
+            start, left = left, min(lo, left + _SERIES_BLOCK)
+            if add(start, left)[-1] <= log_tiny:
+                break
+        if lo > left:
+            log_skipped = log_tiny + math.log(lo - left)
+    while True:
+        logs, right = add(right, right + _SERIES_BLOCK), right + _SERIES_BLOCK
+        rho_sup = rho(max(right - 1.0, peak))
+        log_total = top + math.log1p(rest)
+        if rho_sup < 0.0:
+            log_tail = float(logs[-1]) + rho_sup - math.log(-math.expm1(rho_sup))
+            if log_tail <= log_total + _LOG_SERIES_DROP:
+                break
+    rel_err = math.exp(log_tail - log_total) + math.exp(log_skipped - log_total)
+    return log_total, rel_err, nodes
 
 
 def second_moment_sym(beta: float, n: int, k: int) -> SecondMomentResult:
     """Second moment of the symmetric-model likelihood ratio under noise.
 
-    Computes E exp(n beta^2 T^k / 2) with T the overlap of two independent
-    uniform directions, by self-normalized composite Gauss-Legendre in
-    theta with 16 up to 2^21 nodes on [-theta_max, theta_max], beyond which
-    the integrand is below exp(-140) of its value at theta = 0.
+    E exp(a T^k), a = n beta^2 / 2, with T the overlap of two independent
+    uniform directions, is sum over j with kj even of
+    a^j / j! (1/2)_(kj/2) / (n/2)_(kj/2); for k = 2 it is 1F1(1/2; n/2; a).
+    Gauss's multiplication formula puts it in the form ``_log_series``
+    sums, over i = j / s with s = 1 for even k and 2 for odd k.
     """
     n = _check_count(n, "dimension n", 2)
     k = _check_order(k, 10)
     beta = _check_strength(beta, "beta")
     if beta == 0.0:
-        return SecondMomentResult("sym", k, n, 0.0, 0.0, 0.0, 0.0, "quadrature", 0)
-    half_nb2 = 0.5 * n * beta * beta
-
-    def log_ratio(theta, log_w):
-        dens = (n - 2) * _log_cos(theta) + log_w
-        return float(logsumexp(dens + half_nb2 * np.sin(theta) ** k) - logsumexp(dens))
-
-    # exact bound for theta >= 0; for odd k, sin(theta)^k < 0 below 0
-    cut, sizes = _theta_cut(n, half_nb2, 0.5 * k), tuple(2**p for p in range(4, 22))
-    cur, err, nodes = _refine_theta(log_ratio, -cut, cut, sizes, True)
-    log_sm = _clamp_log_moment(cur, "symmetric quadrature")
-    return SecondMomentResult(
-        "sym", k, n, beta, log_sm, err, _implied_tv(log_sm), "quadrature", nodes
+        return SecondMomentResult("sym", k, n, 0.0, 0.0, 0.0, 0.0, "series", 0)
+    b, s = 0.5 * n, 1 + k % 2
+    w = k * s // 2
+    log_sm, err, nodes = _log_series(
+        s * (math.log(b / s) + 2.0 * math.log(beta)),
+        [(l + 0.5) / w for l in range(w)],
+        [u / s for u in range(1, s + 1)] + [(l + b) / w for l in range(w)],
     )
-
-
-# Debye's u_k(p) = p^k P_k(p^2), k = 1..4 (DLMF 10.41.10), P_k highest power first
-_DEBYE = (
-    (-5 / 24, 1 / 8),
-    (385 / 1152, -77 / 192, 9 / 128),
-    (-85085 / 82944, 17017 / 9216, -4563 / 5120, 75 / 1024),
-    (37182145 / 7962624, -7436429 / 663552, 144001 / 16384, -96833 / 40960, 3675 / 32768),
-)
-
-
-def _log_mgf(s, n: int) -> np.ndarray:
-    """log E exp(sT) = log 0F1(; n/2; s^2/4), T one coordinate of the sphere.
-
-    Even in s, exactly 0 at s = 0. Sums 20 power-series terms while
-    s^2/4 <= n/2 (term ratios stay below 1/(j + 1)); beyond that it is
-    log(Gamma(nu + 1) (2/s)^nu I_nu(s)), nu = n/2 - 1, by Debye's uniform
-    expansion (DLMF 10.41.3) for nu >= 100 and by ive, which cannot
-    underflow there, for smaller nu.
-    """
-    s = np.abs(np.asarray(s, dtype=np.float64))
-    b, nu = 0.5 * n, 0.5 * n - 1.0
-    small = s * s <= 2.0 * n
-    x = 0.25 * s[small] ** 2
-    acc = np.zeros_like(x)
-    for j in range(20, 0, -1):
-        acc = x / ((b + j - 1) * j) * (1.0 + acc)
-    out = np.empty_like(s)
-    out[small] = np.log1p(acc)
-    s = s[~small]
-    if nu < 100.0:
-        out[~small] = math.lgamma(b) + nu * np.log(2.0 / s) + np.log(ive(nu, s)) + s
-        return out
-    z2 = (s / nu) ** 2
-    p = 1.0 / np.sqrt(1.0 + z2)
-    w = z2 * p / (1.0 + p)  # sqrt(1 + z^2) - 1
-    series = 1.0 + sum((p / nu) ** k * np.polyval(c, p * p) for k, c in enumerate(_DEBYE, 1))
-    # Stirling: log Gamma(nu + 1) - nu log(nu) + nu - log(2 pi nu) / 2
-    stirling = 1.0 / (12.0 * nu) - 1.0 / (360.0 * nu**3) + 1.0 / (1260.0 * nu**5)
-    out[~small] = stirling + nu * (w - np.log1p(0.5 * w)) + 0.5 * np.log(p) + np.log(series)
-    return out
-
-
-def _theta_cut(n: int, q: float, p: float) -> float:
-    """Theta in [0, pi/2] beyond which an integrand stays below exp(-140).
-
-    The caller's log integrand must be 0 at theta = 0 and at most
-    a log(u) + q (1 - u)^p for |theta| beyond the cut, with u = cos(theta)^2
-    and a = (n - 2)/2. Fixed-point iteration from u = 0 climbs to the
-    smallest root of that bound at -140; stopping early only widens the
-    interval.
-    """
-    if n == 2:
-        return math.pi / 2.0
-    a, u = 0.5 * (n - 2), 0.0
-    for _ in range(100):
-        u = math.exp(-(q * (1.0 - u) ** p + 140.0) / a)
-    return math.acos(math.sqrt(u))
+    return SecondMomentResult("sym", k, n, beta, log_sm, err, _implied_tv(log_sm), "series", nodes)
 
 
 def second_moment_asym(
@@ -273,14 +297,12 @@ def second_moment_asym(
 ) -> SecondMomentResult:
     """Second moment E exp(n lam^2 T_1 ... T_k) for independent overlaps.
 
-    Orders 2 and 3 integrate the last overlap out in closed form and the
-    others by self-normalized Gauss-Legendre in theta; the integrand is
-    even, so ``nodes`` counts nodes per axis on [0, theta_max]. Higher
-    orders fall back to Monte Carlo over exact overlap marginals
-    (T^2 ~ Beta(1/2, (n-1)/2) with a random sign), reporting the relative
-    standard error in ``quadrature_error``. The Monte Carlo value is
-    returned unclamped, so it can sit slightly below 0 within its noise.
-    ``seed`` must lie in [0, 2^64), the width of the generator key.
+    With c = n lam^2 and E T^(2j) = (1/2)_j / (n/2)_j it is the series
+    sum_j (c^2/4)^j (1/2)_j^(k-1) / (j! (n/2)_j^k), the hypergeometric
+    function (k-1)F(k)(1/2, ...; n/2, ...; c^2/4), summed by ``_log_series``.
+    ``mc_samples`` and ``seed`` have no effect. They are still checked as
+    before: ``seed`` must lie in [0, 2^64), and for k >= 4 ``mc_samples``
+    must be an integer >= 2 with mc_samples * k within the entry budget.
     """
     n = _check_count(n, "dimension n", 2)
     k = _check_order(k, 10)
@@ -288,45 +310,16 @@ def second_moment_asym(
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise ContractError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if lam == 0.0:
-        return SecondMomentResult("asym", k, n, 0.0, 0.0, 0.0, 0.0, "quadrature", 0)
-    if k in (2, 3):
-        c = n * lam * lam
-
-        def log_ratio(theta, log_w):
-            log_d = (n - 2) * _log_cos(theta) + log_w
-            sin = np.sin(theta)
-            if k == 2:
-                return float(logsumexp(log_d + _log_mgf(c * sin, n)) - logsumexp(log_d))
-            # 256 rows at a time bound the memory of the 2-D integrand
-            rows = [
-                logsumexp(log_d[b, None] + log_d + _log_mgf(np.outer(c * sin[b], sin), n))
-                for b in (slice(i, i + 256) for i in range(0, sin.size, 256))
-            ]
-            return float(logsumexp(rows) - 2.0 * logsumexp(log_d))
-
-        # E exp(sT) <= exp(s^2 / 2n) and the other overlap of k = 3 only
-        # shrinks s, so q = c^2 / 2n with p = 1 bounds every axis
-        cut = _theta_cut(n, 0.5 * c * c / n, 1.0)
-        sizes = tuple(2**p for p in range(4, 13 if k == 2 else 12))
-        cur, err, nodes = _refine_theta(log_ratio, 0.0, cut, sizes, True)
-        log_sm = _clamp_log_moment(cur, "asymmetric quadrature")
-        return SecondMomentResult(
-            "asym", k, n, lam, log_sm, err, _implied_tv(log_sm), "quadrature", nodes
-        )
-    mc_samples = _check_count(mc_samples, "mc_samples", 2)
-    if mc_samples * k > DEFAULT_ENTRY_BUDGET:
-        raise SizingError(f"mc_samples={mc_samples} times k={k} exceeds the entry budget")
-    rng = trial_rng(seed, 0, _MC_STREAM)
-    t2 = rng.beta(0.5, (n - 1) / 2.0, size=(mc_samples, k))
-    signs = 2.0 * rng.integers(0, 2, size=(mc_samples, k)) - 1.0
-    expo = n * lam * lam * np.prod(signs * np.sqrt(t2), axis=1)
-    log_sm = float(logsumexp(expo)) - math.log(mc_samples)
-    log_m2 = float(logsumexp(2.0 * expo)) - math.log(mc_samples)
-    rel_var = math.expm1(min(log_m2 - 2.0 * log_sm, 700.0))
-    rel_se = math.sqrt(max(rel_var, 0.0) / mc_samples)
-    return SecondMomentResult(
-        "asym", k, n, lam, log_sm, rel_se, _implied_tv(log_sm), "monte_carlo", mc_samples
+        return SecondMomentResult("asym", k, n, 0.0, 0.0, 0.0, 0.0, "series", 0)
+    if k >= 4:
+        mc_samples = _check_count(mc_samples, "mc_samples", 2)
+        if mc_samples * k > DEFAULT_ENTRY_BUDGET:
+            raise SizingError(f"mc_samples={mc_samples} times k={k} exceeds the entry budget")
+    b = 0.5 * n
+    log_sm, err, nodes = _log_series(
+        2.0 * math.log(b) + 4.0 * math.log(lam), [0.5] * (k - 1), [1.0] + [b] * k
     )
+    return SecondMomentResult("asym", k, n, lam, log_sm, err, _implied_tv(log_sm), "series", nodes)
 
 
 @dataclass(frozen=True)
@@ -421,10 +414,12 @@ def spectral_test_eig(x, delta: float = 0.15) -> int:
 STATISTICS = ("eig", "trace", "lr", "frob", "opnorm")
 
 
-def _int_param(params: dict, name: str, default: int) -> int:
+def _int_param(params: dict, name: str, default: int, lo: int, hi: float = math.inf) -> int:
+    """A spec integer in [lo, hi], checked when the spec is parsed, before any sampling."""
     value = params.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"test.params.{name}", f"must be an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
+        bounds = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise ConfigError(f"test.params.{name}", f"must be an integer {bounds}, got {value!r}")
     return int(value)
 
 
@@ -449,7 +444,7 @@ def make_statistic(name: str, params: dict | None = None):
         if beta is None:
             raise ConfigError("test.params.beta", "the lr statistic needs a strength")
         beta = _finite_number(beta, "test.params.beta")
-        n_samples = _int_param(params, "samples", 2048)
+        n_samples = _int_param(params, "samples", 2048, 2, DEFAULT_ENTRY_BUDGET)
 
         def lr_stat(x, *, spec, trial, context=0, **kw):
             rng = trial_rng(spec.seed, trial, STREAM_TEST, context)
@@ -457,8 +452,8 @@ def make_statistic(name: str, params: dict | None = None):
 
         return lr_stat
     if name == "opnorm":
-        restarts = _int_param(params, "restarts", 8)
-        iters = _int_param(params, "iters", 200)
+        restarts = _int_param(params, "restarts", 8, 1)
+        iters = _int_param(params, "iters", 200, 1)
 
         def opnorm_stat(x, *, spec, trial, context=0, **kw):
             rng = trial_rng(spec.seed, trial, STREAM_TEST, context)

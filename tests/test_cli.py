@@ -1,8 +1,10 @@
 import inspect
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,21 +81,26 @@ def test_second_moment_sym_payload(capsys):
     )
     want = second_moment_sym(0.6, 500, 2)
     assert payload["log_second_moment"] == want.log_second_moment
-    assert payload["method"] == "quadrature"
+    assert payload["method"] == "series"
     assert payload["implied_tv_upper"] == want.implied_tv_upper
     assert "seed" not in payload
 
 
 def test_second_moment_asym_mc_payload(capsys):
+    # --mc-samples and --seed are accepted and have no effect; the seed is echoed
     payload = run_json(
         capsys, "second-moment", "--model", "asym", "--k", "4", "--n", "30",
         "--strength", "1.1", "--mc-samples", "4096", "--seed", "7",
     )
-    want = second_moment_asym(1.1, 30, 4, mc_samples=4096, seed=7)
+    want = second_moment_asym(1.1, 30, 4)
     assert payload["log_second_moment"] == want.log_second_moment
-    assert payload["method"] == "monte_carlo"
-    assert payload["nodes"] == 4096
+    assert payload["method"] == "series"
+    assert payload["nodes"] == want.nodes
     assert payload["seed"] == 7
+    payload = run_json(
+        capsys, "second-moment", "--model", "asym", "--k", "2", "--n", "30", "--strength", "1.1"
+    )
+    assert payload["seed"] == 0
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -317,3 +324,20 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema_version"] == "v1"
+
+
+def test_second_moment_curves_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "second_moment_curves.py"),
+         "--model", "asym", "--k", "4", "--n", "50", "--steps", "3"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    header = proc.stdout.splitlines()[0].split(",")
+    assert "method" in header
+    assert len(proc.stdout.splitlines()) == 4

@@ -24,7 +24,7 @@ from spiked_lab.inference import (
     ExperimentSpec,
     _check_order,
     _implied_tv,
-    _log_mgf,
+    _log_series,
     first_coord_log_density,
     first_coord_tail_logprob,
     likelihood_ratio_mc,
@@ -140,7 +140,7 @@ def test_second_moment_sym_k2_matches_confluent_series(n, beta):
     with mp.workdps(50):
         want = float(mp.log(mp.hyp1f1(mp.mpf("0.5"), mp.mpf(n) / 2, n * beta * beta / 2)))
     assert r.log_second_moment == pytest.approx(want, abs=1e-9)
-    assert r.method == "quadrature"
+    assert r.method == "series"
     assert r.model == "sym" and r.strength == beta
 
 
@@ -256,8 +256,13 @@ def test_second_moment_asym_k3_matches_reduced_quadrature():
     assert r.log_second_moment == pytest.approx(math.log(num) - 2 * math.log(den), abs=1e-5)
 
 
-# nu = n/2 - 1 runs from 0 to 5e4 across these dimensions; series, ive and
-# Debye regimes meet at s^2 = 2n and nu = 100, so both sides of each appear
+def _log_mgf(s: float, n: int) -> float:
+    # log E exp(sT) = log 0F1(; n/2; s^2/4), the series with no upper parameter
+    return _log_series(2.0 * math.log(0.5 * s), [], [1.0, 0.5 * n])[0]
+
+
+# nu = n/2 - 1 runs from 0 to 5e4 and the series mode from 0 to s/2, so
+# single-term, wide-window and dimension-dominated sums all appear
 _MGF_DIMS = (2, 3, 4, 5, 20, 101, 199, 200, 201, 202, 1000, 10000, 100002)
 _MGF_ARGS = (1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
 
@@ -272,15 +277,12 @@ def test_log_mgf_matches_mpmath_bessel(n):
     # which takes seconds or more per point, so those corners are left out
     args = [s for s in _MGF_ARGS if not (nu >= 4999 and s >= 1e5)]
     args += [edge * (1 - 1e-3), edge * (1 + 1e-3)]
-    got = _log_mgf(np.array(args), n)
     with mp.workdps(40):
-        for s, value in zip(args, got):
+        for s in args:
             s_mp, nu_mp = mp.mpf(s), mp.mpf(nu)
             bessel = mp.besseli(nu_mp, s_mp, maxterms=10**6)
             want = mp.loggamma(mp.mpf(n) / 2) + nu_mp * mp.log(2 / s_mp) + mp.log(bessel)
-            assert value == pytest.approx(float(want), rel=1e-10, abs=0.0), (n, s)
-    assert np.array_equal(_log_mgf(-np.array(args), n), got)
-    assert np.all(_log_mgf(np.zeros(3), n) == 0.0)
+            assert _log_mgf(s, n) == pytest.approx(float(want), rel=1e-10, abs=0.0), (n, s)
 
 
 @pytest.mark.parametrize(
@@ -294,7 +296,7 @@ def test_log_mgf_matches_mpmath_bessel(n):
 def test_second_moment_asym_matches_series(k, n, lam):
     r = second_moment_asym(lam, n, k)
     want = _oracles.asym_moment_series(lam, n, k, terms=5000)
-    assert r.method == "quadrature"
+    assert r.method == "series"
     assert r.log_second_moment == pytest.approx(want, abs=1e-9)
 
 
@@ -305,14 +307,65 @@ def test_asym_series_oracle_refuses_to_stop_in_the_dip():
         _oracles.asym_moment_series(3.0, 20000, 3, terms=5000)
 
 
-def test_second_moment_asym_k4_monte_carlo_matches_series():
+def _log_hyper_asym(lam: float, n: int, k: int) -> float:
+    import mpmath as mp
+
+    with mp.workdps(40):
+        c = mp.mpf(n) * mp.mpf(lam) ** 2
+        return float(mp.log(mp.hyper([mp.mpf("0.5")] * (k - 1), [mp.mpf(n) / 2] * k, c * c / 4)))
+
+
+def test_second_moment_asym_k4_matches_hypergeometric():
+    # mc_samples and seed are accepted and change nothing: the value is exact
     lam, n = 1.2, 30
     r = second_moment_asym(lam, n, 4, mc_samples=1 << 17, seed=1)
-    want = _oracles.asym_moment_series(lam, n, 4)
-    assert r.method == "monte_carlo"
-    assert r.nodes == 1 << 17
-    # quadrature_error carries the relative standard error of the MC mean
-    assert abs(r.log_second_moment - want) <= 4.0 * r.quadrature_error + 1e-12
+    assert r.method == "series"
+    assert r.log_second_moment == pytest.approx(_log_hyper_asym(lam, n, 4), rel=1e-12)
+    assert r.log_second_moment == pytest.approx(_oracles.asym_moment_series(lam, n, 4), rel=1e-12)
+
+
+# log (n/2)_m must stay exact at n = 10^6; log moments of 3e-13 (k = 4) and
+# 6e-8 (k = 5) keep their relative precision only if the sum is never
+# rounded against its first term 1; at (1.713, 1000, 3), the critical
+# strength, both modes of the terms count
+@pytest.mark.parametrize(
+    "lam,n,k", [(1.2, 10**6, 3), (0.9, 10**6, 4), (1.0, 200, 5), (1.713, 1000, 3), (2.5, 200, 4)]
+)
+def test_second_moment_asym_matches_hypergeometric(lam, n, k):
+    r = second_moment_asym(lam, n, k)
+    assert r.log_second_moment > 0.0
+    assert r.log_second_moment == pytest.approx(_log_hyper_asym(lam, n, k), rel=1e-10)
+
+
+def test_second_moment_asym_far_supercritical_k3():
+    # the terms fall to ~e^-128 near j = 129 and then rise to a mode near
+    # j = 74500; mpmath.hyper quits in that dip and returns 0.00204
+    r = second_moment_asym(3.0, 20000, 3)
+    assert r.log_second_moment == pytest.approx(84990.8608375, rel=1e-9)
+    assert r.quadrature_error < 1e-15
+
+
+def test_second_moment_series_sums_bounded_windows():
+    # the subcritical terms fall from the first one on, far before j ~ n
+    r = second_moment_asym(1.2, 10**6, 3)
+    assert r.nodes < 10**5
+    # supercritical: a window around the mode, not every term up to it
+    r = second_moment_asym(1.2, 10**6, 2)
+    assert r.nodes < 10**5 and r.log_second_moment > 7e4
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from(["sym", "asym"]),
+    st.integers(2, 10),
+    st.integers(2, 10**6),
+    st.floats(0.0, 2.0),
+    st.floats(0.0, 2.0),
+)
+def test_second_moment_is_nonnegative_and_monotone_in_strength(model, k, n, a, b):
+    f = second_moment_sym if model == "sym" else second_moment_asym
+    lo, hi = f(min(a, b), n, k).log_second_moment, f(max(a, b), n, k).log_second_moment
+    assert 0.0 <= lo <= hi
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, True, 1.0], ids=["negative", "2^64", "bool", "float"])
@@ -324,15 +377,7 @@ def test_second_moment_asym_refuses_seeds_that_alias(seed):
 
 def test_second_moment_asym_accepts_the_widest_seed():
     r = second_moment_asym(1.0, 25, 5, mc_samples=64, seed=2**64 - 1)
-    assert r.method == "monte_carlo"
-
-
-def test_second_moment_asym_mc_reproducible():
-    a = second_moment_asym(1.0, 25, 5, mc_samples=4096, seed=42)
-    b = second_moment_asym(1.0, 25, 5, mc_samples=4096, seed=42)
-    c = second_moment_asym(1.0, 25, 5, mc_samples=4096, seed=43)
-    assert a.log_second_moment == b.log_second_moment
-    assert a.log_second_moment != c.log_second_moment
+    assert r.method == "series"
 
 
 def test_implied_tv_bound_cases():
@@ -577,11 +622,16 @@ def test_experiment_spec_rejects_bool(field):
         ("test.params.beta", {"statistic": "lr", "params": {"beta": "x"}}, {}),
         ("test.params.restarts", {"statistic": "opnorm", "threshold": 1.0, "params": {"restarts": "x"}}, {}),
         ("test.params.iters", {"statistic": "opnorm", "threshold": 1.0, "params": {"iters": "x"}}, {}),
+        ("test.params.samples", {"statistic": "lr", "params": {"samples": 1}}, {}),
+        ("test.params.samples", {"statistic": "lr", "params": {"samples": 10**9}}, {}),
+        ("test.params.restarts", {"statistic": "opnorm", "threshold": 1.0, "params": {"restarts": 0}}, {}),
+        ("test.params.iters", {"statistic": "opnorm", "threshold": 1.0, "params": {"iters": 0}}, {}),
         ("test.threshold", {"statistic": "eig", "threshold": True}, {}),
         ("test.delta", {"statistic": "eig", "delta": True}, {}),
         ("strength", {"statistic": "eig", "delta": 0.15}, {"strength": True}),
     ],
     ids=["samples-text", "samples-bool", "beta-text", "restarts-text", "iters-text",
+         "samples-1", "samples-1e9", "restarts-0", "iters-0",
          "threshold-bool", "delta-bool", "strength-bool"],
 )
 def test_experiment_rejects_malformed_spec_values(field, test, h1):
