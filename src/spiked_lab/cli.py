@@ -11,12 +11,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 import time
 
 from . import __version__
-from .ensembles import STREAM_SAMPLE, EnsembleSpec, sample_trial, sub_seed_hex
+from .ensembles import STREAM_SAMPLE, EnsembleSpec, _threads_default, sample_trial, sub_seed_hex
 from .errors import ConfigError, NumericalFailure, SpikedLabError
 from .inference import (
     ExperimentSpec,
@@ -69,19 +68,6 @@ def _load_spec_arg(raw: str) -> dict:
             return json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise ConfigError("spec", f"{raw} is not valid JSON: {exc}") from exc
-
-
-def _threads_default() -> int:
-    env = os.environ.get("SPIKED_LAB_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError("SPIKED_LAB_THREADS", f"not an integer: {env!r}") from exc
-        if value < 1:
-            raise ConfigError("SPIKED_LAB_THREADS", f"must be >= 1, got {value}")
-        return value
-    return max(1, os.cpu_count() or 1)
 
 
 def _cmd_threshold(args) -> dict:

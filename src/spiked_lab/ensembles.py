@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -35,6 +36,9 @@ _MATRIX_ONLY = ("goe", "hidden_clique")
 
 _M64 = (1 << 64) - 1
 _MAX_TRIAL = 1 << 48
+
+# Side of the square tiles ``_fold`` walks: a pair of them stays in cache.
+_FOLD_TILE = 128
 
 # Sub-stream tags within a trial.
 STREAM_SAMPLE = 0
@@ -204,15 +208,44 @@ def sample_sphere(n: int, rng: np.random.Generator) -> UnitVector:
             return UnitVector(g / norm)
 
 
+def _fold(g: np.ndarray, strength: float = 0.0, v=None) -> np.ndarray:
+    """Overwrite an iid n x n draw with sqrt(2/n) (g + g^T)/2 + strength v v^T.
+
+    Walks the upper-triangular tile pairs (I, J): g[I, J] becomes
+    (g[I, J] + g[J, I]^T) * sqrt(2/n)/2 plus the spike block, and g[J, I]
+    its transpose. Halving is exact, so c * ((a + b) / 2) and
+    (c / 2) * (a + b) agree bit for bit, and entries (i, j) and (j, i) hold
+    the same sums, so the result is exactly symmetric. Memory beyond the
+    draw is a few tiles.
+    """
+    n = g.shape[0]
+    half_scale = math.sqrt(2.0 / n) / 2.0
+    if strength != 0.0:
+        v = np.asarray(v, dtype=np.float64)
+    for lo in range(0, n, _FOLD_TILE):
+        rows = slice(lo, lo + _FOLD_TILE)
+        for lo2 in range(lo, n, _FOLD_TILE):
+            cols = slice(lo2, lo2 + _FOLD_TILE)
+            a, b = g[rows, cols], g[cols, rows]
+            np.multiply(a + b.T, half_scale, out=a)
+            if strength != 0.0:
+                a += strength * np.multiply.outer(v[rows], v[cols])
+            if lo2 != lo:
+                b[...] = a.T
+    return g
+
+
 def sample_sym_noise(n: int, k: int, rng: np.random.Generator) -> SymmetricTensor:
     """Symmetric Gaussian noise: sqrt(2/n) times the symmetrized iid tensor.
 
     Entries with distinct indices have variance 2/(n k!); for k=2 this is the
     Gaussian orthogonal ensemble normalized so the spectrum converges to
-    [-2, 2].
+    [-2, 2], folded in place into its own draw.
     """
     k = _check_order(k, 10)
     g = rng.standard_normal((n,) * k)
+    if k == 2:
+        return SymmetricTensor(_fold(g), check=False)
     sym = symmetrize(g)
     return SymmetricTensor(math.sqrt(2.0 / n) * sym.array, check=False)
 
@@ -245,6 +278,10 @@ def sample_spiked(spec: EnsembleSpec, rng: np.random.Generator):
         raise ConfigError("model", f"sample_spiked needs a spiked model, got {spec.model!r}")
     n, k, strength = spec.n, spec.k, float(spec.strength)
     if spec.model == "sym_spiked":
+        if k == 2:
+            g = rng.standard_normal((n, n))
+            v = sample_sphere(n, rng).coords if spec.spike is None else spec.spike
+            return SymmetricTensor(_fold(g, strength, v), check=False)
         noise = sample_sym_noise(n, k, rng)
         v = sample_sphere(n, rng) if spec.spike is None else spec.spike
         if strength == 0.0:
@@ -270,7 +307,7 @@ def sample_hidden_clique(
     """
     if not 1 <= L <= n:
         raise ContractError(f"clique size must satisfy 1 <= L <= n, got L={L}, n={n}")
-    noise = sample_goe(n, rng)
+    x = _fold(rng.standard_normal((n, n)))
     if U is None:
         members = np.sort(rng.choice(n, size=L, replace=False))
     else:
@@ -279,9 +316,7 @@ def sample_hidden_clique(
             raise ContractError("clique member set does not match L or lies outside [0, n)")
         if np.unique(members).size != members.size:
             raise ContractError("clique members must be distinct")
-    indicator = np.zeros(n)
-    indicator[members] = 1.0
-    x = noise.array + np.multiply.outer(indicator, indicator) / math.sqrt(n)
+    x[np.ix_(members, members)] += 1.0 / math.sqrt(n)
     return SymmetricTensor(x, check=False)
 
 
@@ -318,6 +353,20 @@ class SampleBatch:
 
 
 StatisticFn = Callable[..., float]
+
+
+def _threads_default() -> int:
+    """The default worker count: SPIKED_LAB_THREADS, else the CPU count."""
+    env = os.environ.get("SPIKED_LAB_THREADS")
+    if env is not None:
+        try:
+            value = int(env)
+        except ValueError as exc:
+            raise ConfigError("SPIKED_LAB_THREADS", f"not an integer: {env!r}") from exc
+        if value < 1:
+            raise ConfigError("SPIKED_LAB_THREADS", f"must be >= 1, got {value}")
+        return value
+    return max(1, os.cpu_count() or 1)
 
 
 def batch_statistics(

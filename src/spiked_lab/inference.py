@@ -24,6 +24,7 @@ from .ensembles import (
     STREAM_TEST,
     EnsembleSpec,
     SampleBatch,
+    _threads_default,
     batch_statistics,
     trial_rng,
 )
@@ -86,7 +87,9 @@ def first_coord_tail_logprob(a: float, n: int) -> float:
     maximum, so the interval is first cut where the log integrand has
     fallen by 140 (a relative exp(-140) truncation). A node count m splits
     the interval into m/16 panels with the 16-point rule on each; m is
-    doubled from 128 to 4096 until the log value moves by less than 1e-10.
+    doubled from 128 to 4096 until the log value moves by less than
+    1e-10 * max(1, |value|): an absolute 1e-10 is below the rounding of a
+    log of size 1e6.
     For a >= 0 the value is capped at the exact bound log(1/2) and negative
     a goes through the complement, which keeps the result monotone in a.
     """
@@ -113,7 +116,7 @@ def first_coord_tail_logprob(a: float, n: int) -> float:
         cur = float(logsumexp(lc + (n - 2) * _log_cos(theta) + log_w)) + log_half
         if prev is not None:
             err = abs(cur - prev)
-            if err <= _LOG_TOL_1D:
+            if err <= _LOG_TOL_1D * max(1.0, abs(cur)):
                 return min(cur, -math.log(2.0))
         prev = cur
     raise NumericalFailure(
@@ -628,7 +631,7 @@ def _roc_curve(stats0: np.ndarray, stats1: np.ndarray) -> list:
     return pts
 
 
-def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
+def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> ExperimentResult:
     """Sample both hypotheses, apply the test, and summarize separation.
 
     Each hypothesis gets ``spec.trials`` fresh samples on its own stream
@@ -636,13 +639,24 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     null and alternative never share noise. Decisions are statistic >=
     threshold. The reported KS distance is the exact maximum CDF gap
     between the two statistic samples, which is also the best achievable
-    |power - fpr| over all thresholds.
+    |power - fpr| over all thresholds. ``workers`` defaults to
+    SPIKED_LAB_THREADS, else the CPU count; the results do not depend on it.
+    A non-finite statistic is a NumericalFailure, never a decision.
     """
     stat = make_statistic(spec.statistic, spec.params)
+    workers = _threads_default() if workers is None else workers
     batches = tuple(
         batch_statistics(ens, spec.trials, stat, workers, spec.seed * 2 + hyp)
         for hyp, ens in enumerate((spec.h0, spec.h1))
     )
+    for hyp, batch in enumerate(batches):
+        bad = np.flatnonzero(~np.isfinite(batch.values))
+        if bad.size:
+            trial = int(bad[0])
+            raise NumericalFailure(
+                f"statistic {spec.statistic!r} is {float(batch.values[trial])!r} "
+                f"at hypothesis H{hyp}, trial {trial}"
+            )
     stats0, stats1 = batches[0].values, batches[1].values
     return ExperimentResult(
         spec=spec,

@@ -185,6 +185,23 @@ def _canonical_gather_cached(shape: tuple[int, ...]) -> np.ndarray:
     return _canonical_gather_block(shape, 0, int(np.prod(shape)))
 
 
+@lru_cache(maxsize=32)
+def _symmetrize_plan(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-permutation source indices at the canonical positions, and the gather back.
+
+    Row p of ``sources`` holds, for every sorted-index position, the flat
+    index that ``transpose(p)`` reads there, in ``itertools.permutations``
+    order; ``back`` maps each flat position to its column.
+    """
+    gather = _canonical_gather_cached(shape)
+    canon, back = np.unique(gather, return_inverse=True)
+    multi = np.stack(np.unravel_index(canon, shape))
+    strides = shape[0] ** np.arange(len(shape) - 1, -1, -1, dtype=np.int64)
+    sources = np.stack([strides[list(p)] @ multi for p in itertools.permutations(range(len(shape)))])
+    sources.flags.writeable = back.flags.writeable = False  # shared by every caller
+    return sources, back
+
+
 def _canonical_gather_block(shape, lo, hi) -> np.ndarray:
     """Flat indices of the sorted-index representative for flat positions [lo, hi)."""
     flat = np.arange(lo, hi, dtype=np.int64)
@@ -264,7 +281,10 @@ def symmetrize(x, *, entry_budget=None):
     """Average of all k! index permutations of X.
 
     Exactly symmetric output; idempotent (a SymmetricTensor is returned
-    unchanged). Cost is k! transpositions, so the order is capped at 10.
+    unchanged). The k! permutations are summed only at the sorted-index
+    positions, about n^k/k! of them, then gathered back; above the cached
+    plan's size the whole transpositions are summed. The order is capped
+    at 10.
     """
     if isinstance(x, SymmetricTensor):
         return x
@@ -277,6 +297,16 @@ def symmetrize(x, *, entry_budget=None):
         # (A + A^T)/2 is exactly symmetric: float addition commutes.
         out = (arr + arr.T) / 2.0
         return SymmetricTensor(out, check=False, entry_budget=entry_budget)
+    plan_entries = arr.size + math.factorial(k) * math.comb(n + k - 1, k)
+    if plan_entries <= _CANON_CACHE_LIMIT:
+        # Sum only at the sorted-index positions, in the order of the full loop below.
+        sources, back = _symmetrize_plan(arr.shape)
+        flat = arr.reshape(-1)
+        acc = flat[sources[0]]
+        for src in sources[1:]:
+            acc += flat[src]
+        acc /= math.factorial(k)
+        return SymmetricTensor(acc[back].reshape(arr.shape), check=False, entry_budget=entry_budget)
     out = arr.copy()
     for p in itertools.permutations(range(k)):
         if p == tuple(range(k)):

@@ -3,9 +3,12 @@
 Everything here deliberately avoids the code paths under test: eigenvalues
 come from exact rational Sturm-chain bisection on the characteristic
 polynomial, symmetrization from explicit permutation loops, tail
-probabilities from the regularized incomplete beta function.
+probabilities from the regularized incomplete beta function. Symmetric
+matrix samples are composed from whole-array steps, one n x n array per
+step, to pin the in-place samplers bit for bit.
 """
 
+import math
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -71,6 +74,32 @@ def symmetrize_bruteforce(arr: np.ndarray) -> np.ndarray:
             total += arr[tuple(idx[p] for p in perm)]
         out[idx] = total / len(perms)
     return out
+
+
+def symmetrize_transpose_sum(arr: np.ndarray) -> np.ndarray:
+    """Sum of all index transpositions in ``permutations`` order over k!.
+
+    Each entry is then read from its sorted-index position with an explicit
+    loop, which makes the result exactly symmetric. The rounding is that of
+    the whole-array loop, so a fast symmetrize must match it bit for bit.
+    """
+    k = arr.ndim
+    total = arr.copy()
+    for perm in list(permutations(range(k)))[1:]:
+        total += arr.transpose(perm)
+    total /= math.factorial(k)
+    out = np.empty_like(total)
+    for idx in product(range(arr.shape[0]), repeat=k):
+        out[idx] = total[tuple(sorted(idx))]
+    return out
+
+
+def sym_matrix_composed(g: np.ndarray, strength: float = 0.0, v=None) -> np.ndarray:
+    """sqrt(2/n) * ((g + g^T) / 2) + strength * v v^T, one whole-array step at a time."""
+    x = math.sqrt(2.0 / g.shape[0]) * ((g + g.T) / 2.0)
+    if strength != 0.0:
+        x = x + strength * np.outer(v, v)
+    return x
 
 
 def outer_power_bruteforce(v: np.ndarray, k: int) -> np.ndarray:

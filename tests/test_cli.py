@@ -277,6 +277,25 @@ def test_numerical_failure_exits_two(capsys, monkeypatch):
     assert "numerical failure" in err
 
 
+def test_nan_statistic_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "spiked_lab.inference.make_statistic", lambda name, params=None: lambda x, **kw: math.nan
+    )
+    code, out, err = run_cli(capsys, "experiment", "--spec", json.dumps(EXPERIMENT))
+    assert code == 2 and out == ""
+    assert "numerical failure" in err and "nan at hypothesis H0, trial 0" in err
+
+
+def test_rate_tail_converges_at_large_n(capsys):
+    """An absolute 1e-10 stop rule is below the rounding of a log near -1e6; a relative one ends."""
+    logs = [
+        run_json(capsys, "rate", "--a", "0.999", "--n", str(n))["log_tail_prob"]
+        for n in (100000, 300000, 1000000)
+    ]
+    assert all(math.isfinite(v) for v in logs)
+    assert logs[0] > logs[1] > logs[2]
+
+
 def test_output_flag_writes_file(capsys, tmp_path):
     path = tmp_path / "out.json"
     code, out, _ = run_cli(capsys, "threshold", "--k", "4", "--output", str(path))

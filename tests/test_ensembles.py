@@ -1,17 +1,21 @@
 import itertools
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from spiked_lab.ensembles import (
     MODELS,
     STREAM_SAMPLE,
     STREAM_TEST,
     EnsembleSpec,
+    _threads_default,
     batch_statistics,
     sample_asym_noise,
     sample_goe,
@@ -298,6 +302,57 @@ def test_spiked_samples_are_symmetric_tensors():
         assert np.array_equal(x.array, np.transpose(x.array, perm))
 
 
+# Sizes around the fold's 128-wide tiles, plus the degenerate ones.
+FOLD_SIZES = [1, 2, 127, 128, 129, 300]
+
+
+@pytest.mark.parametrize("n", FOLD_SIZES)
+def test_goe_bits_match_whole_array_composition(n):
+    for seed, trial in ((0, 0), (9, 4)):
+        g = trial_rng(seed, trial).standard_normal((n, n))
+        x = sample_trial(EnsembleSpec(model="goe", n=n, seed=seed), trial).array
+        assert x.tobytes() == _oracles.sym_matrix_composed(g).tobytes()
+
+
+@pytest.mark.parametrize("n", FOLD_SIZES)
+def test_sym_spiked_k2_bits_match_whole_array_composition(n):
+    pinned = np.cos(np.arange(n) + 0.5)
+    pinned /= np.linalg.norm(pinned)
+    for strength, spike in ((1.3, None), (0.0, None), (2.5, tuple(pinned)), (0.0, tuple(pinned))):
+        rng = trial_rng(4, 1)
+        g = rng.standard_normal((n, n))
+        v = sample_sphere(n, rng).coords if spike is None else pinned
+        spec = EnsembleSpec(model="sym_spiked", n=n, strength=strength, spike=spike, seed=4)
+        want = _oracles.sym_matrix_composed(g, strength, v)
+        assert sample_trial(spec, 1).array.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", FOLD_SIZES)
+def test_hidden_clique_bits_match_whole_array_composition(n):
+    for L, members in ((1, None), ((n + 1) // 2, None), (min(n, 3), (0, n // 2, n - 1)[: min(n, 3)])):
+        rng = trial_rng(2, 3)
+        g = rng.standard_normal((n, n))
+        chosen = np.sort(rng.choice(n, size=L, replace=False)) if members is None else members
+        indicator = np.zeros(n)
+        indicator[list(chosen)] = 1.0
+        want = _oracles.sym_matrix_composed(g, 1.0 / math.sqrt(n), indicator)
+        spec = EnsembleSpec(model="hidden_clique", n=n, strength=L, spike=members, seed=2)
+        assert sample_trial(spec, 3).array.tobytes() == want.tobytes()
+
+
+def test_goe_sampler_folds_in_place():
+    """Beyond its own draw, the sampler allocates only a few tiles."""
+    n = 512
+    rng = trial_rng(0, 0)
+    tracemalloc.start()
+    try:
+        sample_goe(n, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n
+
+
 # --- batching ---------------------------------------------------------------
 
 
@@ -311,6 +366,18 @@ def test_batch_statistics_worker_count_is_invisible():
     four = batch_statistics(spec, 23, frob_stat, workers=4)
     assert np.array_equal(one.values, four.values)
     assert one.sub_seeds == four.sub_seeds
+
+
+def test_default_worker_count_resolution(monkeypatch):
+    monkeypatch.delenv("SPIKED_LAB_THREADS", raising=False)
+    assert _threads_default() == max(1, os.cpu_count() or 1)
+    monkeypatch.setenv("SPIKED_LAB_THREADS", "3")
+    assert _threads_default() == 3
+    for bad in ("bogus", "0", "-2", "1.5"):
+        monkeypatch.setenv("SPIKED_LAB_THREADS", bad)
+        with pytest.raises(ConfigError) as info:
+            _threads_default()
+        assert info.value.field == "SPIKED_LAB_THREADS"
 
 
 def test_batch_statistics_sub_seeds_match_scheme():

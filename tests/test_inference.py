@@ -18,7 +18,7 @@ from spiked_lab.ensembles import (
     sub_seed_hex,
     trial_rng,
 )
-from spiked_lab.errors import ConfigError, ContractError, SizingError
+from spiked_lab.errors import ConfigError, ContractError, NumericalFailure, SizingError
 from spiked_lab.inference import (
     _LR_BLOCK_ENTRIES,
     ExperimentSpec,
@@ -731,10 +731,34 @@ def test_run_experiment_reproducible_and_worker_invariant():
     one = run_experiment(spec)
     two = run_experiment(spec)
     par = run_experiment(spec, workers=3)
+    solo = run_experiment(spec, workers=1)
     assert np.array_equal(one.stats0, two.stats0)
     assert np.array_equal(one.stats1, two.stats1)
+    assert np.array_equal(one.stats0, solo.stats0)
+    assert np.array_equal(one.stats1, solo.stats1)
     assert np.array_equal(one.stats0, par.stats0)
     assert np.array_equal(one.stats1, par.stats1)
+
+
+def test_run_experiment_refuses_a_nan_statistic(monkeypatch):
+    """A NaN is never decided as "no detection"; the failure names where it was."""
+
+    def make_nan_at_h1_trial_2(name, params=None):
+        return lambda x, *, spec, trial, **kw: math.nan if spec.seed == 12 and trial == 2 else 1.0
+
+    monkeypatch.setattr("spiked_lab.inference.make_statistic", make_nan_at_h1_trial_2)
+    spec = ExperimentSpec.from_json_dict(_eig_experiment_dict(trials=4))
+    with pytest.raises(NumericalFailure, match=r"'eig' is nan at hypothesis H1, trial 2"):
+        run_experiment(spec, workers=1)
+
+
+def test_run_experiment_default_workers_follow_the_environment(monkeypatch):
+    spec = ExperimentSpec.from_json_dict(_eig_experiment_dict(trials=3))
+    monkeypatch.setenv("SPIKED_LAB_THREADS", "0")
+    with pytest.raises(ConfigError, match="SPIKED_LAB_THREADS"):
+        run_experiment(spec)
+    monkeypatch.setenv("SPIKED_LAB_THREADS", "2")
+    assert np.array_equal(run_experiment(spec).stats1, run_experiment(spec, workers=1).stats1)
 
 
 def test_run_experiment_seed_moves_streams():

@@ -22,7 +22,8 @@ from spiked_lab.tensors import (
     tensor_to_json,
 )
 
-from _oracles import outer_power_bruteforce, symmetrize_bruteforce
+import spiked_lab.tensors as tensors_mod
+from _oracles import outer_power_bruteforce, symmetrize_bruteforce, symmetrize_transpose_sum
 
 
 def random_tensor(n, k, seed):
@@ -110,6 +111,21 @@ def test_symmetrize_close_to_bruteforce(n, k):
     got = symmetrize(arr)
     want = symmetrize_bruteforce(arr)
     assert np.allclose(got.array, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (7, 3), (30, 3), (2, 4), (5, 4), (2, 5), (4, 5)])
+def test_symmetrize_bits_match_transpose_sum(n, k):
+    arr = random_tensor(n, k, 31 * n + k)
+    assert symmetrize(arr).array.tobytes() == symmetrize_transpose_sum(arr).tobytes()
+
+
+def test_symmetrize_streamed_path_keeps_the_bits(monkeypatch):
+    """Above the plan's size limit the full transpose loop and the chunked
+    gather give the same bits as the canonical-position sum."""
+    arr = random_tensor(5, 3, 8)
+    monkeypatch.setattr(tensors_mod, "_CANON_CACHE_LIMIT", 64)
+    monkeypatch.setattr(tensors_mod, "_CANON_CHUNK", 7)
+    assert symmetrize(arr).array.tobytes() == symmetrize_transpose_sum(arr).tobytes()
 
 
 def test_symmetrize_exactly_invariant_under_transposition():
