@@ -25,7 +25,7 @@ from .inference import (
     second_moment_sym,
 )
 from .tensors import save_tensor, tensor_to_json
-from .thresholds import beta_star, beta_star_asymptotic, lambda_star, sphere_rate
+from .thresholds import _lambda_from_beta, beta_star, beta_star_asymptotic, sphere_rate
 
 SCHEMA_VERSION = "v1"
 _INLINE_JSON_LIMIT = 10**4
@@ -72,7 +72,7 @@ def _load_spec_arg(raw: str) -> dict:
 
 def _cmd_threshold(args) -> dict:
     beta = beta_star(args.k)
-    lam = lambda_star(args.k)
+    lam = _lambda_from_beta(beta)
     return {
         "k": args.k,
         "beta_star": beta.value,

@@ -27,8 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, _check_count, _check_order, _finite_number
-from .tensors import DenseTensor, SymmetricTensor, UnitVector, outer_power, symmetrize
+from .errors import ConfigError, ContractError, SizingError, _check_count, _check_order, _finite_number
+from .tensors import DenseTensor, SymmetricTensor, UnitVector, _check_budget, _symmetric
 
 MODELS = ("goe", "sym_noise", "asym_noise", "sym_spiked", "asym_spiked", "hidden_clique")
 _SPIKED = ("sym_spiked", "asym_spiked")
@@ -36,9 +36,6 @@ _MATRIX_ONLY = ("goe", "hidden_clique")
 
 _M64 = (1 << 64) - 1
 _MAX_TRIAL = 1 << 48
-
-# Side of the square tiles ``_fold`` walks: a pair of them stays in cache.
-_FOLD_TILE = 128
 
 # Sub-stream tags within a trial.
 STREAM_SAMPLE = 0
@@ -106,6 +103,10 @@ class EnsembleSpec:
             raise ConfigError("k", f"order must be an integer >= 2, got {self.k!r}")
         if self.model in _MATRIX_ONLY and self.k != 2:
             raise ConfigError("k", f"model {self.model!r} is a matrix model; k must be 2")
+        try:
+            _check_budget(self.n, self.k, None)
+        except SizingError as exc:  # refused before any draw, not as a failed allocation
+            raise ConfigError("n", str(exc)) from None
         if _finite_number(self.strength, "strength") < 0:
             raise ConfigError("strength", f"strength must be >= 0, got {self.strength}")
         if type(self.seed) is not int or not 0 <= self.seed <= _M64:
@@ -208,33 +209,6 @@ def sample_sphere(n: int, rng: np.random.Generator) -> UnitVector:
             return UnitVector(g / norm)
 
 
-def _fold(g: np.ndarray, strength: float = 0.0, v=None) -> np.ndarray:
-    """Overwrite an iid n x n draw with sqrt(2/n) (g + g^T)/2 + strength v v^T.
-
-    Walks the upper-triangular tile pairs (I, J): g[I, J] becomes
-    (g[I, J] + g[J, I]^T) * sqrt(2/n)/2 plus the spike block, and g[J, I]
-    its transpose. Halving is exact, so c * ((a + b) / 2) and
-    (c / 2) * (a + b) agree bit for bit, and entries (i, j) and (j, i) hold
-    the same sums, so the result is exactly symmetric. Memory beyond the
-    draw is a few tiles.
-    """
-    n = g.shape[0]
-    half_scale = math.sqrt(2.0 / n) / 2.0
-    if strength != 0.0:
-        v = np.asarray(v, dtype=np.float64)
-    for lo in range(0, n, _FOLD_TILE):
-        rows = slice(lo, lo + _FOLD_TILE)
-        for lo2 in range(lo, n, _FOLD_TILE):
-            cols = slice(lo2, lo2 + _FOLD_TILE)
-            a, b = g[rows, cols], g[cols, rows]
-            np.multiply(a + b.T, half_scale, out=a)
-            if strength != 0.0:
-                a += strength * np.multiply.outer(v[rows], v[cols])
-            if lo2 != lo:
-                b[...] = a.T
-    return g
-
-
 def sample_sym_noise(n: int, k: int, rng: np.random.Generator) -> SymmetricTensor:
     """Symmetric Gaussian noise: sqrt(2/n) times the symmetrized iid tensor.
 
@@ -244,10 +218,7 @@ def sample_sym_noise(n: int, k: int, rng: np.random.Generator) -> SymmetricTenso
     """
     k = _check_order(k, 10)
     g = rng.standard_normal((n,) * k)
-    if k == 2:
-        return SymmetricTensor(_fold(g), check=False)
-    sym = symmetrize(g)
-    return SymmetricTensor(math.sqrt(2.0 / n) * sym.array, check=False)
+    return SymmetricTensor(_symmetric(n, k, g, math.sqrt(2.0 / n)), check=False)
 
 
 def sample_goe(n: int, rng: np.random.Generator) -> SymmetricTensor:
@@ -278,15 +249,10 @@ def sample_spiked(spec: EnsembleSpec, rng: np.random.Generator):
         raise ConfigError("model", f"sample_spiked needs a spiked model, got {spec.model!r}")
     n, k, strength = spec.n, spec.k, float(spec.strength)
     if spec.model == "sym_spiked":
-        if k == 2:
-            g = rng.standard_normal((n, n))
-            v = sample_sphere(n, rng).coords if spec.spike is None else spec.spike
-            return SymmetricTensor(_fold(g, strength, v), check=False)
-        noise = sample_sym_noise(n, k, rng)
-        v = sample_sphere(n, rng) if spec.spike is None else spec.spike
-        if strength == 0.0:
-            return noise
-        return SymmetricTensor(noise.array + strength * outer_power(v, k).array, check=False)
+        k = _check_order(k, 10)
+        g = rng.standard_normal((n,) * k)
+        v = sample_sphere(n, rng).coords if spec.spike is None else spec.spike
+        return SymmetricTensor(_symmetric(n, k, g, math.sqrt(2.0 / n), strength, v), check=False)
     noise = sample_asym_noise(n, k, rng)
     if spec.spike is not None:
         vs = [np.asarray(r) for r in spec.spike]
@@ -307,7 +273,7 @@ def sample_hidden_clique(
     """
     if not 1 <= L <= n:
         raise ContractError(f"clique size must satisfy 1 <= L <= n, got L={L}, n={n}")
-    x = _fold(rng.standard_normal((n, n)))
+    x = _symmetric(n, 2, rng.standard_normal((n, n)), math.sqrt(2.0 / n))
     if U is None:
         members = np.sort(rng.choice(n, size=L, replace=False))
     else:

@@ -5,10 +5,11 @@ Tensors are immutable: the wrapped numpy array is marked read-only at
 construction. Entries are stored flat in row-major (C) order, so the flat
 index of (i_1, ..., i_k) is i_1 * n^(k-1) + ... + i_k.
 
-Symmetric tensors are *exactly* symmetric, bit for bit: every operation that
-promises a symmetric result (``outer_power``, ``symmetrize``) routes each
-entry through the value computed at the sorted representative of its index
-orbit, so permuting indices cannot even change the last ulp.
+Symmetric tensors are *exactly* symmetric, bit for bit. One private kernel,
+``_symmetric``, builds scale * Sym(G) + strength * v^(tensor k) for
+``symmetrize``, ``outer_power`` and the symmetric samplers: each value is
+computed once, at the sorted representative of its index orbit, and copied
+to the rest of the orbit, so permuting indices cannot change the last ulp.
 """
 
 from __future__ import annotations
@@ -31,9 +32,13 @@ _HEADER = struct.Struct("<4sIII")  # magic, k, n, format version
 _FORMAT_VERSION = 1
 _JSON_MAX_ENTRIES = 10**4
 
-# Chunk size (flat indices) for streaming canonicalization of large tensors.
-_CANON_CHUNK = 1 << 20
+# Flat positions per index block of a large symmetric tensor, and the size
+# (entries plus per-permutation sources) up to which a shape's plan is cached.
+_CANON_CHUNK = 1 << 18
 _CANON_CACHE_LIMIT = 1 << 22
+
+# Side of the square tiles the k = 2 kernel walks: a pair of them stays in cache.
+_FOLD_TILE = 128
 
 
 def _check_budget(dim: int, order: int, entry_budget: int | None) -> int:
@@ -180,52 +185,114 @@ def _as_array(x) -> tuple[np.ndarray, int, int]:
     return arr, arr.ndim, arr.shape[0]
 
 
-@lru_cache(maxsize=32)
-def _canonical_gather_cached(shape: tuple[int, ...]) -> np.ndarray:
-    return _canonical_gather_block(shape, 0, int(np.prod(shape)))
+def _fold(n: int, g, scale: float, strength: float, v) -> np.ndarray:
+    """The k = 2 kernel: overwrite g with scale (g + g^T)/2 + strength v v^T.
 
-
-@lru_cache(maxsize=32)
-def _symmetrize_plan(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-permutation source indices at the canonical positions, and the gather back.
-
-    Row p of ``sources`` holds, for every sorted-index position, the flat
-    index that ``transpose(p)`` reads there, in ``itertools.permutations``
-    order; ``back`` maps each flat position to its column.
+    Walks the upper-triangular tile pairs (I, J), so memory beyond g is a few
+    tiles. Halving is exact, so (a + b) * (scale/2) equals scale * ((a + b)/2)
+    bit for bit, and (i, j) and (j, i) hold the same sum: exactly symmetric.
     """
-    gather = _canonical_gather_cached(shape)
-    canon, back = np.unique(gather, return_inverse=True)
-    multi = np.stack(np.unravel_index(canon, shape))
-    strides = shape[0] ** np.arange(len(shape) - 1, -1, -1, dtype=np.int64)
-    sources = np.stack([strides[list(p)] @ multi for p in itertools.permutations(range(len(shape)))])
-    sources.flags.writeable = back.flags.writeable = False  # shared by every caller
-    return sources, back
+    out = np.empty((n, n)) if g is None else g
+    half_scale = scale / 2.0
+    for lo in range(0, n, _FOLD_TILE):
+        rows = slice(lo, lo + _FOLD_TILE)
+        for lo2 in range(lo, n, _FOLD_TILE):
+            cols = slice(lo2, lo2 + _FOLD_TILE)
+            a, b = out[rows, cols], out[cols, rows]
+            if g is None:
+                a[...] = strength * np.multiply.outer(v[rows], v[cols])
+            else:
+                np.multiply(a + b.T, half_scale, out=a)
+                if strength != 0.0:
+                    a += strength * np.multiply.outer(v[rows], v[cols])
+            if lo2 != lo:
+                b[...] = a.T
+    return out
 
 
-def _canonical_gather_block(shape, lo, hi) -> np.ndarray:
-    """Flat indices of the sorted-index representative for flat positions [lo, hi)."""
+def _orbit_block(n: int, k: int, lo: int, hi: int):
+    """Indices for the flat positions [lo, hi) of an order-k tensor.
+
+    ``gather`` holds each position's sorted-index representative, ``own``
+    the positions that are their own representative, ``multi`` their sorted
+    multi-indices and ``sources`` yields, per permutation p in
+    ``itertools.permutations`` order, the flat index that ``transpose(p)``
+    reads there. A representative never comes after its position, so blocks
+    filled in increasing order only read filled entries.
+    """
+    shape = (n,) * k
     flat = np.arange(lo, hi, dtype=np.int64)
     multi = np.stack(np.unravel_index(flat, shape))
     multi.sort(axis=0)
-    return np.ravel_multi_index(tuple(multi), shape)
+    gather = np.ravel_multi_index(tuple(multi), shape)
+    own = np.flatnonzero(gather == flat)
+    multi = multi[:, own]
+    strides = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    sources = (strides[list(p)] @ multi for p in itertools.permutations(range(k)))
+    return gather, own + lo, multi, sources
 
 
-def _canonicalize_symmetric(arr: np.ndarray) -> np.ndarray:
-    """Copy each entry from its sorted-index orbit representative.
+@lru_cache(maxsize=32)
+def _orbit_plan(n: int, k: int, summed: bool):
+    """The whole tensor's ``multi``, its ``sources`` stacked (if ``summed``),
+    and the column of each flat position's representative among them."""
+    gather, own, multi, sources = _orbit_block(n, k, 0, n**k)
+    sources = np.stack(list(sources)) if summed else np.empty((0, 0), dtype=np.int64)
+    back = np.searchsorted(own, gather)
+    for arr in (multi, sources, back):
+        arr.flags.writeable = False  # shared by every caller
+    return multi, sources, back
 
-    Assumes ``arr`` is already symmetric up to roundoff; the gather makes the
-    symmetry exact without changing any value by more than the existing
-    permutation scatter (a few ulp).
+
+def _orbit_values(flat, multi, sources, k: int, scale: float, strength: float, v) -> np.ndarray:
+    """scale * Sym(g) + strength * v^(tensor k) at the sorted multi-indices ``multi``,
+    for g's flat entries ``flat``: the k! reads summed in ``sources`` order,
+    divided by k!, then scaled, plus the spike's coordinates multiplied in
+    sorted index order."""
+    acc = None
+    if flat is not None:
+        sources = iter(sources)
+        acc = flat[next(sources)]
+        for src in sources:
+            acc += flat[src]
+        acc /= math.factorial(k)
+        acc *= scale
+    if strength != 0.0:
+        spike = v[multi[0]]
+        for row in multi[1:]:
+            spike *= v[row]
+        spike *= strength
+        if acc is None:
+            return spike
+        acc += spike
+    return acc
+
+
+def _symmetric(n: int, k: int, g=None, scale=1.0, strength=0.0, v=None) -> np.ndarray:
+    """scale * Sym(g) + strength * v^(tensor k), exactly symmetric.
+
+    Each value is computed once, at the sorted-index representative of its
+    orbit, and copied to the rest of the orbit. ``g`` (n^k entries, or None
+    for the spike alone) is overwritten at k = 2 and read at k >= 3, where
+    k <= 10. Small shapes use the cached plan and one gather back; larger
+    ones fill ``_CANON_CHUNK`` positions at a time, straight into the result.
     """
-    size = arr.size
-    flat = arr.reshape(-1)
-    if size <= _CANON_CACHE_LIMIT:
-        return flat[_canonical_gather_cached(arr.shape)].reshape(arr.shape)
-    out = np.empty_like(flat)
+    if strength != 0.0:
+        v = np.asarray(v, dtype=np.float64)
+    if k == 2:
+        return _fold(n, g, scale, strength, v)
+    size = n**k
+    flat = None if g is None else g.reshape(-1)  # one copy at most, if g is not contiguous
+    if size + math.factorial(k) * math.comb(n + k - 1, k) <= _CANON_CACHE_LIMIT:
+        multi, sources, back = _orbit_plan(n, k, g is not None)
+        return _orbit_values(flat, multi, sources, k, scale, strength, v)[back].reshape((n,) * k)
+    out = np.empty(size)
     for lo in range(0, size, _CANON_CHUNK):
         hi = min(lo + _CANON_CHUNK, size)
-        out[lo:hi] = flat[_canonical_gather_block(arr.shape, lo, hi)]
-    return out.reshape(arr.shape)
+        gather, own, multi, sources = _orbit_block(n, k, lo, hi)
+        out[own] = _orbit_values(flat, multi, sources, k, scale, strength, v)
+        out[lo:hi] = out[gather]
+    return out.reshape((n,) * k)
 
 
 def _exactly_symmetric(arr: np.ndarray, sample_tuples: int = 128) -> bool:
@@ -254,11 +321,7 @@ def outer_power(v: UnitVector | np.ndarray, k: int, *, entry_budget=None) -> Sym
     if coords.ndim != 1:
         raise ContractError("outer_power expects a vector")
     _check_budget(coords.size, k, entry_budget)
-    arr = coords
-    for _ in range(k - 1):
-        arr = np.multiply.outer(arr, coords)
-    if k > 2:
-        arr = _canonicalize_symmetric(arr)
+    arr = coords if k == 1 else _symmetric(coords.size, k, strength=1.0, v=coords)
     return SymmetricTensor(arr, check=False, entry_budget=entry_budget)
 
 
@@ -282,9 +345,8 @@ def symmetrize(x, *, entry_budget=None):
 
     Exactly symmetric output; idempotent (a SymmetricTensor is returned
     unchanged). The k! permutations are summed only at the sorted-index
-    positions, about n^k/k! of them, then gathered back; above the cached
-    plan's size the whole transpositions are summed. The order is capped
-    at 10.
+    positions, about n^k/k! of them, and copied to the rest of each orbit.
+    The order is capped at 10.
     """
     if isinstance(x, SymmetricTensor):
         return x
@@ -293,27 +355,8 @@ def symmetrize(x, *, entry_budget=None):
         raise ContractError(f"symmetrize supports order <= 10, got k={k}")
     if k == 1:
         return SymmetricTensor(arr.copy(), check=False, entry_budget=entry_budget)
-    if k == 2:
-        # (A + A^T)/2 is exactly symmetric: float addition commutes.
-        out = (arr + arr.T) / 2.0
-        return SymmetricTensor(out, check=False, entry_budget=entry_budget)
-    plan_entries = arr.size + math.factorial(k) * math.comb(n + k - 1, k)
-    if plan_entries <= _CANON_CACHE_LIMIT:
-        # Sum only at the sorted-index positions, in the order of the full loop below.
-        sources, back = _symmetrize_plan(arr.shape)
-        flat = arr.reshape(-1)
-        acc = flat[sources[0]]
-        for src in sources[1:]:
-            acc += flat[src]
-        acc /= math.factorial(k)
-        return SymmetricTensor(acc[back].reshape(arr.shape), check=False, entry_budget=entry_budget)
-    out = arr.copy()
-    for p in itertools.permutations(range(k)):
-        if p == tuple(range(k)):
-            continue
-        out += arr.transpose(p)
-    out /= math.factorial(k)
-    out = _canonicalize_symmetric(out)
+    # the k = 2 kernel folds in place, so it gets a copy
+    out = _symmetric(n, k, arr.copy() if k == 2 else arr)
     return SymmetricTensor(out, check=False, entry_budget=entry_budget)
 
 

@@ -14,7 +14,7 @@ log(-log1p(-q^2)) - k log q, which is stable over the whole open interval
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq, minimize
@@ -154,16 +154,14 @@ def beta_star(k: int) -> ThresholdResult:
 
 def lambda_star(k: int) -> ThresholdResult:
     """Critical lambda for the asymmetric order-k model: sqrt(k/2) * beta_k."""
-    base = beta_star(k)
-    scale = math.sqrt(k / 2.0)
-    return ThresholdResult(
-        kind="lambda",
-        k=base.k,
-        value=scale * base.value,
-        q_star=base.q_star,
-        objective_at_min=(k / 2.0) * base.objective_at_min,
-        tolerance=base.tolerance,
-        unimodal=base.unimodal,
+    return _lambda_from_beta(beta_star(k))
+
+
+def _lambda_from_beta(base: ThresholdResult) -> ThresholdResult:
+    """lambda_k = sqrt(k/2) * beta_k from an already computed ``beta_star(k)``."""
+    half_k = base.k / 2.0
+    return replace(
+        base, kind="lambda", value=math.sqrt(half_k) * base.value, objective_at_min=half_k * base.objective_at_min
     )
 
 
@@ -178,35 +176,27 @@ def beta_star_asymptotic(k: int) -> float:
 def g_lambda_critical(lam: float, k: int) -> list[CriticalPoint]:
     """Nonzero stationary overlaps of the equal-coordinate profile.
 
-    Solves lambda^2 q^(k-1) = q / (1 - q^2) for q in (0, 1) by a dense sign
-    scan plus Brent refinement, and reports G at the diagonal point
-    (q, ..., q) for each root. Tangency roots exactly at the fold strength
-    produce no sign change and may be missed; they occur for a single lambda
-    only. Below lambda_k every returned value is negative.
+    Solves phi(q) = lambda^2 q^(k-2) (1 - q^2) - 1 = 0 for q in (0, 1) and
+    reports G at (q, ..., q) for each root. phi peaks at q_m^2 = (k - 2)/k,
+    so below the fold strength there is no root, at it (within rounding)
+    the tangency root q_m, above it one Brent root on each side of q_m.
+    Below lambda_k every returned value is negative.
     """
     k = _check_order(k)
     _check_strength(lam, "lambda")
-    if lam == 0.0:
-        return []
 
     def phi(q):
         return lam**2 * q ** (k - 2) * (1.0 - q * q) - 1.0
 
-    qs = np.linspace(1e-9, 1.0 - 1e-9, 4001)
-    vals = np.array([phi(q) for q in qs])
-    roots = []
-    for j in range(qs.size - 1):
-        a, b = vals[j], vals[j + 1]
-        if a == 0.0:
-            roots.append(qs[j])
-        elif a * b < 0:
-            roots.append(float(brentq(phi, qs[j], qs[j + 1], xtol=1e-14)))
-    if vals[-1] == 0.0:
-        roots.append(qs[-1])
-    out = []
-    for q in sorted(set(roots)):
-        out.append(CriticalPoint(q=q, value=g_lambda([q] * k, lam)))
-    return out
+    q_m = math.sqrt((k - 2) / k)
+    peak = phi(q_m)
+    if k > 2 and abs(peak) <= 8 * math.ulp(1.0):  # phi's terms are about 1: tangent within rounding
+        roots = [q_m]
+    elif peak <= 0.0:
+        roots = []
+    else:  # at k = 2 the lower side (0, q_m) is empty
+        roots = [float(brentq(phi, a, b, xtol=1e-14)) for a, b in ((0.0, q_m), (q_m, 1.0)) if a < b]
+    return [CriticalPoint(q=q, value=g_lambda([q] * k, lam)) for q in roots]
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Everything here deliberately avoids the code paths under test: eigenvalues
 come from exact rational Sturm-chain bisection on the characteristic
 polynomial, symmetrization from explicit permutation loops, tail
 probabilities from the regularized incomplete beta function. Symmetric
-matrix samples are composed from whole-array steps, one n x n array per
-step, to pin the in-place samplers bit for bit.
+samples are composed from whole-array steps, one n^k array per step, to
+pin the samplers bit for bit.
 """
 
 import math
@@ -95,10 +95,22 @@ def symmetrize_transpose_sum(arr: np.ndarray) -> np.ndarray:
 
 
 def sym_matrix_composed(g: np.ndarray, strength: float = 0.0, v=None) -> np.ndarray:
-    """sqrt(2/n) * ((g + g^T) / 2) + strength * v v^T, one whole-array step at a time."""
-    x = math.sqrt(2.0 / g.shape[0]) * ((g + g.T) / 2.0)
+    """sqrt(2/n) * symmetrize_transpose_sum(g) + strength * v^(x)k, one whole-array step at a time.
+
+    Works at any order k = g.ndim; at k = 2 the first term is
+    sqrt(2/n) * (g + g^T) / 2. Each spike entry multiplies the coordinates
+    in sorted index order, with an explicit loop.
+    """
+    n, k = g.shape[0], g.ndim
+    x = math.sqrt(2.0 / n) * symmetrize_transpose_sum(g)
     if strength != 0.0:
-        x = x + strength * np.outer(v, v)
+        spike = np.empty_like(x)
+        for idx in product(range(n), repeat=k):
+            val = 1.0
+            for i in sorted(idx):
+                val *= v[i]
+            spike[idx] = val
+        x = x + strength * spike
     return x
 
 

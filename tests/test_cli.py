@@ -176,6 +176,16 @@ def test_sample_refuses_oversize_inline(capsys):
     assert code == 1 and "--tensor-out" in err
 
 
+@pytest.mark.parametrize("model", ["sym_noise", "asym_noise"])
+@pytest.mark.parametrize("command", ["sample", "experiment"])
+def test_oversize_spec_exits_one_before_any_draw(capsys, command, model):
+    big = {"model": model, "n": 100000, "k": 3}
+    spec = big if command == "sample" else {**EXPERIMENT, "h0": big}
+    code, out, err = run_cli(capsys, command, "--spec", json.dumps(spec))
+    assert code == 1 and out == ""
+    assert err.startswith("error: n: ") and err.count("\n") == 1
+
+
 def test_sample_spec_from_file(capsys, tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"model": "goe", "n": 9, "seed": 3}))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
+from spiked_lab import tensors as tensors_mod
 from spiked_lab.ensembles import (
     MODELS,
     STREAM_SAMPLE,
@@ -128,6 +129,15 @@ def test_spec_asym_spike_is_k_unit_vectors():
     EnsembleSpec(model="asym_spiked", n=6, k=3, strength=1.0, spike=(e, e, e))
     with pytest.raises(ConfigError):
         EnsembleSpec(model="asym_spiked", n=6, k=3, strength=1.0, spike=(e, e))
+
+
+@pytest.mark.parametrize("model", ["sym_noise", "asym_noise", "sym_spiked", "asym_spiked"])
+def test_spec_refuses_tensors_over_the_entry_budget(model):
+    with pytest.raises(ConfigError) as info:
+        EnsembleSpec(model=model, n=100000, k=3)
+    assert info.value.field == "n"
+    assert "entry budget" in str(info.value)
+    assert EnsembleSpec(model=model, n=464, k=3).n == 464  # 464^3 < 10^8
 
 
 def test_spec_json_roundtrip_and_strictness():
@@ -338,6 +348,41 @@ def test_hidden_clique_bits_match_whole_array_composition(n):
         want = _oracles.sym_matrix_composed(g, 1.0 / math.sqrt(n), indicator)
         spec = EnsembleSpec(model="hidden_clique", n=n, strength=L, spike=members, seed=2)
         assert sample_trial(spec, 3).array.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("streamed", [False, True])
+@pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (5, 3), (30, 3), (2, 4), (7, 4)])
+def test_sym_tensor_bits_match_whole_array_composition(monkeypatch, n, k, streamed):
+    """k >= 3 noise and spiked draws, on the cached plan and streamed in 7-entry chunks."""
+    if streamed:
+        monkeypatch.setattr(tensors_mod, "_CANON_CACHE_LIMIT", 64)
+        monkeypatch.setattr(tensors_mod, "_CANON_CHUNK", 7)
+    g = trial_rng(4, 1).standard_normal((n,) * k)
+    noise = sample_trial(EnsembleSpec(model="sym_noise", n=n, k=k, seed=4), 1).array
+    assert noise.tobytes() == _oracles.sym_matrix_composed(g).tobytes()
+    pinned = np.cos(np.arange(n) + 0.5)
+    pinned /= np.linalg.norm(pinned)
+    for strength, spike in ((1.3, None), (0.0, None), (2.5, tuple(pinned)), (0.0, tuple(pinned))):
+        rng = trial_rng(4, 1)
+        g = rng.standard_normal((n,) * k)
+        v = sample_sphere(n, rng).coords if spike is None else pinned
+        spec = EnsembleSpec(model="sym_spiked", n=n, k=k, strength=strength, spike=spike, seed=4)
+        want = _oracles.sym_matrix_composed(g, strength, v)
+        assert sample_trial(spec, 1).array.tobytes() == want.tobytes()
+
+
+def test_sym_spiked_k3_draw_holds_little_beyond_draw_and_result():
+    """Past the warm-up that caches the plan, a k=3 draw peaks below 2.5 draws."""
+    n = 30
+    spec = EnsembleSpec(model="sym_spiked", n=n, k=3, strength=2.0, seed=1)
+    sample_trial(spec, 0)
+    tracemalloc.start()
+    try:
+        sample_trial(spec, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * n**3
 
 
 def test_goe_sampler_folds_in_place():

@@ -180,6 +180,18 @@ def test_g_lambda_critical_above_fold_has_two_roots():
     assert all(r.value < 0 for r in roots)  # still below lambda_3
 
 
+@pytest.mark.parametrize("k", [3, 4, 10])
+def test_g_lambda_critical_finds_the_tangency_root_at_the_fold(k):
+    q_m = math.sqrt((k - 2) / k)
+    lam_f = 1.0 / math.sqrt(q_m ** (k - 2) * (1.0 - q_m * q_m))
+    roots = g_lambda_critical(lam_f, k)
+    assert [r.q for r in roots] == [pytest.approx(q_m, abs=1e-12)]
+    assert roots[0].value < 0.0
+    if k == 3:
+        assert lam_f == pytest.approx(1.6118548977, abs=1e-10)
+    assert g_lambda_critical(1.0, 2) == []  # the k=2 fold is at q = 0, not a nonzero root
+
+
 def test_g_lambda_critical_value_zero_at_threshold():
     lam3 = lambda_star(3).value
     roots = g_lambda_critical(lam3, 3)
