@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import __version__
-from .ensembles import STREAM_SAMPLE, EnsembleSpec, _threads_default, sample_trial, sub_seed_hex
+from .ensembles import STREAM_SAMPLE, EnsembleSpec, sample_trial, sub_seed_hex
 from .errors import ConfigError, NumericalFailure, SpikedLabError
 from .inference import (
     ExperimentSpec,
@@ -24,11 +24,10 @@ from .inference import (
     second_moment_asym,
     second_moment_sym,
 )
-from .tensors import save_tensor, tensor_to_json
+from .tensors import _JSON_MAX_ENTRIES, save_tensor, tensor_to_json
 from .thresholds import _lambda_from_beta, beta_star, beta_star_asymptotic, sphere_rate
 
 SCHEMA_VERSION = "v1"
-_INLINE_JSON_LIMIT = 10**4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,7 +120,7 @@ def _cmd_sample(args) -> dict:
                 with open(args.tensor_out, "w", encoding="utf-8") as fh:
                     fh.write(tensor_to_json(tensor) + "\n")
         payload["tensor_path"] = args.tensor_out
-    elif tensor.n_entries <= _INLINE_JSON_LIMIT:
+    elif tensor.n_entries <= _JSON_MAX_ENTRIES:
         payload["tensor"] = json.loads(tensor_to_json(tensor))
     else:
         raise ConfigError(
@@ -138,10 +137,9 @@ def _cmd_experiment(args) -> dict | str:
     if args.trials is not None:
         data = {**data, "trials": args.trials}
     spec = ExperimentSpec.from_json_dict(data)
-    workers = args.threads if args.threads is not None else _threads_default()
-    if workers < 1:
-        raise ConfigError("threads", f"must be >= 1, got {workers}")
-    result = run_experiment(spec, workers=workers)
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError("threads", f"must be >= 1, got {args.threads}")
+    result = run_experiment(spec, workers=args.threads)
     return result.rows_csv() if args.format == "csv" else result.to_json_dict()
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -123,9 +124,9 @@ class EnsembleSpec:
 
     def _normalize_spike(self, spike):
         if self.model == "hidden_clique":
-            try:
-                members = tuple(int(i) for i in spike)
-            except (TypeError, ValueError):
+            try:  # operator.index refuses 1.5, "3" and inf rather than rounding them
+                members = tuple(operator.index(i) for i in spike)
+            except TypeError:
                 raise ConfigError("spike", "clique spike must be a list of vertex indices") from None
             if len(members) != int(self.strength):
                 raise ConfigError("spike", f"clique has {len(members)} vertices but L={int(self.strength)}")
@@ -138,17 +139,19 @@ class EnsembleSpec:
             vec = self._as_unit(spike, "spike")
             return tuple(vec)
         if self.model == "asym_spiked":
-            rows = list(spike)
-            if len(rows) != self.k or not all(isinstance(r, (list, tuple, np.ndarray)) for r in rows):
+            if not isinstance(spike, (list, tuple, np.ndarray)) or len(spike) != self.k:
                 raise ConfigError("spike", f"asymmetric spike must be a list of k={self.k} vectors")
-            return tuple(tuple(self._as_unit(r, "spike")) for r in rows)
+            return tuple(tuple(self._as_unit(r, "spike")) for r in spike)
         raise ConfigError("spike", f"model {self.model!r} does not take a spike")
 
     def _as_unit(self, values, fieldname):
-        arr = np.asarray(values, dtype=np.float64)
+        try:
+            arr = np.asarray(values, dtype=np.float64)
+        except (TypeError, ValueError):  # ragged, nested or not numbers
+            arr = np.empty(0)
         if arr.ndim != 1 or arr.size != self.n:
-            raise ConfigError(fieldname, f"spike vector must have length n={self.n}")
-        if abs(float(np.linalg.norm(arr)) - 1.0) > 1e-9:
+            raise ConfigError(fieldname, f"spike vector must be a list of n={self.n} numbers")
+        if not abs(float(np.linalg.norm(arr)) - 1.0) <= 1e-9:  # a NaN norm fails too
             raise ConfigError(fieldname, "spike vector must have unit norm")
         return arr
 
@@ -355,7 +358,7 @@ def batch_statistics(
             tensor = sample_trial(spec, t, context)
             values[t] = statistic(tensor, spec=spec, trial=t, context=context)
 
-    workers = max(1, int(workers))
+    workers = _check_count(workers, "workers", 1)
     if workers == 1 or trials == 1:
         run_range(0, trials)
     else:

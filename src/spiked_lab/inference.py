@@ -415,6 +415,7 @@ def spectral_test_eig(x, delta: float = 0.15) -> int:
 
 
 STATISTICS = ("eig", "trace", "lr", "frob", "opnorm")
+_PARAMS = {"lr": ("beta", "samples"), "opnorm": ("restarts", "iters")}  # the others take none
 
 
 def _int_param(params: dict, name: str, default: int, lo: int, hi: float = math.inf) -> int:
@@ -435,7 +436,12 @@ def make_statistic(name: str, params: dict | None = None):
     a stream separate from sampling, so results do not depend on worker
     count or evaluation order.
     """
+    if name not in STATISTICS:
+        raise ConfigError("test.statistic", f"unknown statistic {name!r}; known: {STATISTICS}")
     params = dict(params or {})
+    for key in params:
+        if key not in _PARAMS.get(name, ()):
+            raise ConfigError(f"test.params.{key}", f"not a parameter of the {name} statistic")
     if name == "eig":
         return lambda x, **kw: eigvals_sym(x).largest
     if name == "trace":
@@ -447,6 +453,8 @@ def make_statistic(name: str, params: dict | None = None):
         if beta is None:
             raise ConfigError("test.params.beta", "the lr statistic needs a strength")
         beta = _finite_number(beta, "test.params.beta")
+        if beta < 0:
+            raise ConfigError("test.params.beta", f"must be >= 0, got {beta!r}")
         n_samples = _int_param(params, "samples", 2048, 2, DEFAULT_ENTRY_BUDGET)
 
         def lr_stat(x, *, spec, trial, context=0, **kw):
@@ -454,16 +462,14 @@ def make_statistic(name: str, params: dict | None = None):
             return likelihood_ratio_mc(x, beta, n_samples, rng).log_estimate
 
         return lr_stat
-    if name == "opnorm":
-        restarts = _int_param(params, "restarts", 8, 1)
-        iters = _int_param(params, "iters", 200, 1)
+    restarts = _int_param(params, "restarts", 8, 1)
+    iters = _int_param(params, "iters", 200, 1)
 
-        def opnorm_stat(x, *, spec, trial, context=0, **kw):
-            rng = trial_rng(spec.seed, trial, STREAM_TEST, context)
-            return operator_norm_lb(x, restarts=restarts, iters=iters, rng=rng).value
+    def opnorm_stat(x, *, spec, trial, context=0, **kw):
+        rng = trial_rng(spec.seed, trial, STREAM_TEST, context)
+        return operator_norm_lb(x, restarts=restarts, iters=iters, rng=rng).value
 
-        return opnorm_stat
-    raise ConfigError("test.statistic", f"unknown statistic {name!r}; known: {STATISTICS}")
+    return opnorm_stat
 
 
 @dataclass(frozen=True)
@@ -479,10 +485,7 @@ class ExperimentSpec:
     params: dict | None = None
 
     def __post_init__(self):
-        if self.statistic not in STATISTICS:
-            raise ConfigError(
-                "test.statistic", f"unknown statistic {self.statistic!r}; known: {STATISTICS}"
-            )
+        make_statistic(self.statistic, self.params)  # a bad name or parameter fails before any draw
         if type(self.trials) is not int or self.trials < 1:
             raise ConfigError("trials", f"must be a positive integer, got {self.trials!r}")
         # streams are keyed by 2 * seed + hypothesis in 64 bits

@@ -32,7 +32,7 @@ _HEADER = struct.Struct("<4sIII")  # magic, k, n, format version
 _FORMAT_VERSION = 1
 _JSON_MAX_ENTRIES = 10**4
 
-# Flat positions per index block of a large symmetric tensor, and the size
+# Source indices per block of a large symmetric tensor, and the size
 # (entries plus per-permutation sources) up to which a shape's plan is cached.
 _CANON_CHUNK = 1 << 18
 _CANON_CACHE_LIMIT = 1 << 22
@@ -210,35 +210,33 @@ def _fold(n: int, g, scale: float, strength: float, v) -> np.ndarray:
     return out
 
 
-def _orbit_block(n: int, k: int, lo: int, hi: int):
-    """Indices for the flat positions [lo, hi) of an order-k tensor.
+def _orbit_blocks(n: int, k: int, per_block: int):
+    """The orbit representatives of an order-k tensor, ``per_block`` at a time.
 
-    ``gather`` holds each position's sorted-index representative, ``own``
-    the positions that are their own representative, ``multi`` their sorted
-    multi-indices and ``sources`` yields, per permutation p in
-    ``itertools.permutations`` order, the flat index that ``transpose(p)``
-    reads there. A representative never comes after its position, so blocks
-    filled in increasing order only read filled entries.
+    The representatives are the sorted multi-indices, in the lexicographic
+    order ``itertools.combinations_with_replacement`` yields them. Each block
+    is ``(multi, sources)``: ``multi`` holds its representatives as columns,
+    and row p of ``sources`` the flat index that ``transpose(p)`` reads at
+    each, for the permutations p in ``itertools.permutations`` order. So a
+    column of ``sources`` lists every flat position of its orbit.
     """
-    shape = (n,) * k
-    flat = np.arange(lo, hi, dtype=np.int64)
-    multi = np.stack(np.unravel_index(flat, shape))
-    multi.sort(axis=0)
-    gather = np.ravel_multi_index(tuple(multi), shape)
-    own = np.flatnonzero(gather == flat)
-    multi = multi[:, own]
-    strides = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    sources = (strides[list(p)] @ multi for p in itertools.permutations(range(k)))
-    return gather, own + lo, multi, sources
+    perms = itertools.chain.from_iterable(itertools.permutations(range(k)))
+    perms = np.fromiter(perms, np.int64, math.factorial(k) * k).reshape(-1, k)
+    perm_strides = (n ** np.arange(k - 1, -1, -1, dtype=np.int64))[perms]
+    reps = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(n), k))
+    total = math.comb(n + k - 1, k)
+    for lo in range(0, total, per_block):
+        multi = np.fromiter(reps, np.int64, min(per_block, total - lo) * k).reshape(-1, k).T
+        yield multi, perm_strides @ multi
 
 
 @lru_cache(maxsize=32)
-def _orbit_plan(n: int, k: int, summed: bool):
-    """The whole tensor's ``multi``, its ``sources`` stacked (if ``summed``),
-    and the column of each flat position's representative among them."""
-    gather, own, multi, sources = _orbit_block(n, k, 0, n**k)
-    sources = np.stack(list(sources)) if summed else np.empty((0, 0), dtype=np.int64)
-    back = np.searchsorted(own, gather)
+def _orbit_plan(n: int, k: int):
+    """The whole tensor as one block of ``_orbit_blocks``, plus ``back``: the
+    column of each flat position's representative, set by one scatter."""
+    multi, sources = next(_orbit_blocks(n, k, math.comb(n + k - 1, k)))
+    back = np.empty(n**k, dtype=np.int64)
+    back[sources] = np.arange(multi.shape[1])
     for arr in (multi, sources, back):
         arr.flags.writeable = False  # shared by every caller
     return multi, sources, back
@@ -275,7 +273,7 @@ def _symmetric(n: int, k: int, g=None, scale=1.0, strength=0.0, v=None) -> np.nd
     orbit, and copied to the rest of the orbit. ``g`` (n^k entries, or None
     for the spike alone) is overwritten at k = 2 and read at k >= 3, where
     k <= 10. Small shapes use the cached plan and one gather back; larger
-    ones fill ``_CANON_CHUNK`` positions at a time, straight into the result.
+    ones write blocks of about ``_CANON_CHUNK`` sources straight to their orbits.
     """
     if strength != 0.0:
         v = np.asarray(v, dtype=np.float64)
@@ -284,14 +282,11 @@ def _symmetric(n: int, k: int, g=None, scale=1.0, strength=0.0, v=None) -> np.nd
     size = n**k
     flat = None if g is None else g.reshape(-1)  # one copy at most, if g is not contiguous
     if size + math.factorial(k) * math.comb(n + k - 1, k) <= _CANON_CACHE_LIMIT:
-        multi, sources, back = _orbit_plan(n, k, g is not None)
+        multi, sources, back = _orbit_plan(n, k)
         return _orbit_values(flat, multi, sources, k, scale, strength, v)[back].reshape((n,) * k)
     out = np.empty(size)
-    for lo in range(0, size, _CANON_CHUNK):
-        hi = min(lo + _CANON_CHUNK, size)
-        gather, own, multi, sources = _orbit_block(n, k, lo, hi)
-        out[own] = _orbit_values(flat, multi, sources, k, scale, strength, v)
-        out[lo:hi] = out[gather]
+    for multi, sources in _orbit_blocks(n, k, max(1, _CANON_CHUNK // math.factorial(k))):
+        out[sources] = _orbit_values(flat, multi, sources, k, scale, strength, v)
     return out.reshape((n,) * k)
 
 

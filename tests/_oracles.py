@@ -125,6 +125,18 @@ def outer_power_bruteforce(v: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def outer_power_sorted_product(v: np.ndarray, k: int) -> np.ndarray:
+    """v^(x)k with each entry's coordinates multiplied in sorted index order."""
+    n = v.size
+    out = np.empty((n,) * k)
+    for idx in product(range(n), repeat=k):
+        val = 1.0
+        for i in sorted(idx):
+            val *= v[i]
+        out[idx] = val
+    return out
+
+
 def tail_prob_betainc(a: float, n: int) -> float:
     """P(first sphere coordinate >= a) via the incomplete beta function."""
     from scipy.special import betainc

@@ -113,6 +113,9 @@ def test_spec_clique_member_list():
         EnsembleSpec(model="hidden_clique", n=10, strength=3, spike=(0, 4, 4))
     with pytest.raises(ConfigError):  # out of range
         EnsembleSpec(model="hidden_clique", n=10, strength=3, spike=(0, 4, 10))
+    for members in ((0, 4, 1.5), (0, 4, float("inf")), (0, 4, "9")):  # not rounded or parsed
+        with pytest.raises(ConfigError):
+            EnsembleSpec(model="hidden_clique", n=10, strength=3, spike=members)
 
 
 def test_spec_sym_spike_must_be_unit_norm():
@@ -122,6 +125,9 @@ def test_spec_sym_spike_must_be_unit_norm():
         EnsembleSpec(model="sym_spiked", n=8, k=3, strength=1.0, spike=tuple([0.7] * 8))
     with pytest.raises(ConfigError):  # wrong length
         EnsembleSpec(model="sym_spiked", n=8, k=3, strength=1.0, spike=(1.0, 0.0))
+    for bad in ((float("nan"),) + v[1:], "", [[1.0], [0.0] * 7], {"a": 1.0}):
+        with pytest.raises(ConfigError):  # a NaN norm, or not a list of numbers
+            EnsembleSpec(model="sym_spiked", n=8, k=3, strength=1.0, spike=bad)
 
 
 def test_spec_asym_spike_is_k_unit_vectors():
@@ -129,6 +135,9 @@ def test_spec_asym_spike_is_k_unit_vectors():
     EnsembleSpec(model="asym_spiked", n=6, k=3, strength=1.0, spike=(e, e, e))
     with pytest.raises(ConfigError):
         EnsembleSpec(model="asym_spiked", n=6, k=3, strength=1.0, spike=(e, e))
+    for bad in (False, 3, "abc"):
+        with pytest.raises(ConfigError):
+            EnsembleSpec(model="asym_spiked", n=6, k=3, strength=1.0, spike=bad)
 
 
 @pytest.mark.parametrize("model", ["sym_noise", "asym_noise", "sym_spiked", "asym_spiked"])

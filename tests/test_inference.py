@@ -626,12 +626,15 @@ def test_experiment_spec_rejects_bool(field):
         ("test.params.samples", {"statistic": "lr", "params": {"samples": 10**9}}, {}),
         ("test.params.restarts", {"statistic": "opnorm", "threshold": 1.0, "params": {"restarts": 0}}, {}),
         ("test.params.iters", {"statistic": "opnorm", "threshold": 1.0, "params": {"iters": 0}}, {}),
+        ("test.params.iterz",
+         {"statistic": "opnorm", "threshold": 1.0, "params": {"restarts": 1, "iterz": -3}}, {}),
+        ("test.params.beta", {"statistic": "lr", "params": {"beta": -1}}, {}),
         ("test.threshold", {"statistic": "eig", "threshold": True}, {}),
         ("test.delta", {"statistic": "eig", "delta": True}, {}),
         ("strength", {"statistic": "eig", "delta": 0.15}, {"strength": True}),
     ],
     ids=["samples-text", "samples-bool", "beta-text", "restarts-text", "iters-text",
-         "samples-1", "samples-1e9", "restarts-0", "iters-0",
+         "samples-1", "samples-1e9", "restarts-0", "iters-0", "param-typo", "beta-negative",
          "threshold-bool", "delta-bool", "strength-bool"],
 )
 def test_experiment_rejects_malformed_spec_values(field, test, h1):
@@ -750,6 +753,14 @@ def test_run_experiment_refuses_a_nan_statistic(monkeypatch):
     spec = ExperimentSpec.from_json_dict(_eig_experiment_dict(trials=4))
     with pytest.raises(NumericalFailure, match=r"'eig' is nan at hypothesis H1, trial 2"):
         run_experiment(spec, workers=1)
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.7, "2", True])
+def test_run_experiment_refuses_a_worker_count_that_is_not_a_positive_integer(bad):
+    """Not silently one worker, and not coerced: the count is an integer >= 1."""
+    spec = ExperimentSpec.from_json_dict(_eig_experiment_dict(trials=2))
+    with pytest.raises(ContractError, match="workers"):
+        run_experiment(spec, workers=bad)
 
 
 def test_run_experiment_default_workers_follow_the_environment(monkeypatch):

@@ -23,7 +23,12 @@ from spiked_lab.tensors import (
 )
 
 import spiked_lab.tensors as tensors_mod
-from _oracles import outer_power_bruteforce, symmetrize_bruteforce, symmetrize_transpose_sum
+from _oracles import (
+    outer_power_bruteforce,
+    outer_power_sorted_product,
+    symmetrize_bruteforce,
+    symmetrize_transpose_sum,
+)
 
 
 def random_tensor(n, k, seed):
@@ -99,6 +104,16 @@ def test_outer_power_matches_bruteforce(n, k):
     assert isinstance(got, SymmetricTensor)
 
 
+@pytest.mark.parametrize("n,k", [(4, 3), (3, 4), (5, 5), (2, 7)])
+def test_outer_power_bits_match_sorted_index_product(n, k):
+    """Every entry is the coordinates multiplied in sorted index order, to the
+    last bit and the sign of a zero."""
+    v = np.random.default_rng(7 * n + k).standard_normal(n)
+    v /= np.linalg.norm(v)
+    v[-1] = -0.0
+    assert outer_power(v, k).array.tobytes() == outer_power_sorted_product(v, k).tobytes()
+
+
 def test_outer_power_accepts_unit_vector():
     v = UnitVector.normalize([1.0, 2.0, -1.0])
     t = outer_power(v, 3)
@@ -113,19 +128,22 @@ def test_symmetrize_close_to_bruteforce(n, k):
     assert np.allclose(got.array, want, rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (7, 3), (30, 3), (2, 4), (5, 4), (2, 5), (4, 5)])
+@pytest.mark.parametrize(
+    "n,k", [(1, 3), (2, 3), (7, 3), (30, 3), (2, 4), (5, 4), (2, 5), (4, 5), (3, 6), (2, 7)]
+)
 def test_symmetrize_bits_match_transpose_sum(n, k):
     arr = random_tensor(n, k, 31 * n + k)
     assert symmetrize(arr).array.tobytes() == symmetrize_transpose_sum(arr).tobytes()
 
 
 def test_symmetrize_streamed_path_keeps_the_bits(monkeypatch):
-    """Above the plan's size limit the full transpose loop and the chunked
-    gather give the same bits as the canonical-position sum."""
-    arr = random_tensor(5, 3, 8)
+    """Above the plan's size limit, representatives taken a few at a time and
+    written straight to their orbits give the bits of the transpose sum."""
     monkeypatch.setattr(tensors_mod, "_CANON_CACHE_LIMIT", 64)
     monkeypatch.setattr(tensors_mod, "_CANON_CHUNK", 7)
-    assert symmetrize(arr).array.tobytes() == symmetrize_transpose_sum(arr).tobytes()
+    for n, k in ((5, 3), (4, 4)):
+        arr = random_tensor(n, k, 8)
+        assert symmetrize(arr).array.tobytes() == symmetrize_transpose_sum(arr).tobytes()
 
 
 def test_symmetrize_exactly_invariant_under_transposition():
