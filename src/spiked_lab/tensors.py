@@ -10,6 +10,8 @@ Symmetric tensors are *exactly* symmetric, bit for bit. One private kernel,
 ``symmetrize``, ``outer_power`` and the symmetric samplers: each value is
 computed once, at the sorted representative of its index orbit, and copied
 to the rest of the orbit, so permuting indices cannot change the last ulp.
+The spike alone is built one order at a time, each entry's coordinates
+multiplied in sorted index order, with no orbit enumerated.
 """
 
 from __future__ import annotations
@@ -32,10 +34,12 @@ _HEADER = struct.Struct("<4sIII")  # magic, k, n, format version
 _FORMAT_VERSION = 1
 _JSON_MAX_ENTRIES = 10**4
 
-# Source indices per block of a large symmetric tensor, and the size
-# (entries plus per-permutation sources) up to which a shape's plan is cached.
+# Source indices per block of a large symmetric tensor, the size (entries plus
+# sources) up to which a shape's plan is cached, and the reads of g per step in
+# a block of at most half as many representatives.
 _CANON_CHUNK = 1 << 18
 _CANON_CACHE_LIMIT = 1 << 22
+_READ_CHUNK = 1 << 12
 
 # Side of the square tiles the k = 2 kernel walks: a pair of them stays in cache.
 _FOLD_TILE = 128
@@ -192,76 +196,98 @@ def _fold(n: int, g, scale: float, strength: float, v) -> np.ndarray:
     tiles. Halving is exact, so (a + b) * (scale/2) equals scale * ((a + b)/2)
     bit for bit, and (i, j) and (j, i) hold the same sum: exactly symmetric.
     """
-    out = np.empty((n, n)) if g is None else g
     half_scale = scale / 2.0
     for lo in range(0, n, _FOLD_TILE):
         rows = slice(lo, lo + _FOLD_TILE)
         for lo2 in range(lo, n, _FOLD_TILE):
             cols = slice(lo2, lo2 + _FOLD_TILE)
-            a, b = out[rows, cols], out[cols, rows]
-            if g is None:
-                a[...] = strength * np.multiply.outer(v[rows], v[cols])
-            else:
-                np.multiply(a + b.T, half_scale, out=a)
-                if strength != 0.0:
-                    a += strength * np.multiply.outer(v[rows], v[cols])
+            a, b = g[rows, cols], g[cols, rows]
+            np.multiply(a + b.T, half_scale, out=a)
+            if strength != 0.0:
+                a += strength * np.multiply.outer(v[rows], v[cols])
             if lo2 != lo:
                 b[...] = a.T
-    return out
+    return g
+
+
+def _spike(n: int, k: int, strength: float, v) -> np.ndarray:
+    """strength * v^(tensor k), each entry's coordinates multiplied in sorted index
+    order, built up one order at a time with no orbit enumerated: entry (p, a) is
+    entry p times v_a if a is at least p's largest index ``top``, else entry
+    (rest, a) times v_top, where ``rest`` is p without one copy of ``top``."""
+    a = np.arange(n)
+    out, top, rest = v, a, np.zeros(n, dtype=np.intp)
+    for m in range(2, k + 1):
+        last = a >= top[:, None]
+        prev, out = out.reshape(-1), out.reshape(-1, n)[rest]
+        out *= v[top][:, None]
+        np.multiply(prev[:, None], v, out=out, where=last)
+        if m < k:
+            top = np.maximum(top[:, None], a).reshape(-1)
+            rest = np.where(last, np.arange(prev.size)[:, None], rest[:, None] * n + a).reshape(-1)
+    out *= strength
+    return out.reshape((n,) * k)
 
 
 def _orbit_blocks(n: int, k: int, per_block: int):
-    """The orbit representatives of an order-k tensor, ``per_block`` at a time.
+    """The orbits of an order-k tensor, ``per_block`` at a time, as ``(multi, sources)``.
 
-    The representatives are the sorted multi-indices, in the lexicographic
-    order ``itertools.combinations_with_replacement`` yields them. Each block
-    is ``(multi, sources)``: ``multi`` holds its representatives as columns,
-    and row p of ``sources`` the flat index that ``transpose(p)`` reads at
-    each, for the permutations p in ``itertools.permutations`` order. So a
-    column of ``sources`` lists every flat position of its orbit.
+    ``multi`` holds the sorted multi-indices as columns, in the order
+    ``itertools.combinations_with_replacement`` yields them. Row p of the
+    ``sources`` arrays, taken in turn, is the flat index ``transpose(p)`` reads
+    at each, in ``itertools.permutations`` order; so a column's sources are its
+    orbit. An array holds the (at most 8!) permutations sharing their first k - 8.
     """
-    perms = itertools.chain.from_iterable(itertools.permutations(range(k)))
-    perms = np.fromiter(perms, np.int64, math.factorial(k) * k).reshape(-1, k)
-    perm_strides = (n ** np.arange(k - 1, -1, -1, dtype=np.int64))[perms]
+    strides = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    tail = np.array(list(itertools.permutations(range(min(k, 8)))), dtype=np.intp)
+    h = k - tail.shape[1]
     reps = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(n), k))
     total = math.comb(n + k - 1, k)
     for lo in range(0, total, per_block):
         multi = np.fromiter(reps, np.int64, min(per_block, total - lo) * k).reshape(-1, k).T
-        yield multi, perm_strides @ multi
+        yield multi, tuple(
+            strides[list(head)] @ multi[:h] + strides[[i for i in range(k) if i not in head]][tail] @ multi[h:]
+            for head in itertools.permutations(range(k), h)
+        )
 
 
 @lru_cache(maxsize=32)
 def _orbit_plan(n: int, k: int):
     """The whole tensor as one block of ``_orbit_blocks``, plus ``back``: the
-    column of each flat position's representative, set by one scatter."""
+    column of each flat position's representative."""
     multi, sources = next(_orbit_blocks(n, k, math.comb(n + k - 1, k)))
     back = np.empty(n**k, dtype=np.int64)
-    back[sources] = np.arange(multi.shape[1])
-    for arr in (multi, sources, back):
+    for src in sources:
+        back[src] = np.arange(multi.shape[1])
+    for arr in (multi, back, *sources):
         arr.flags.writeable = False  # shared by every caller
     return multi, sources, back
 
 
 def _orbit_values(flat, multi, sources, k: int, scale: float, strength: float, v) -> np.ndarray:
     """scale * Sym(g) + strength * v^(tensor k) at the sorted multi-indices ``multi``,
-    for g's flat entries ``flat``: the k! reads summed in ``sources`` order,
-    divided by k!, then scaled, plus the spike's coordinates multiplied in
+    for g's flat entries ``flat``: the k! reads added one by one in ``sources``
+    order, divided by k!, then scaled, plus the spike's coordinates multiplied in
     sorted index order."""
+    step = _READ_CHUNK // multi.shape[1]
     acc = None
-    if flat is not None:
-        sources = iter(sources)
-        acc = flat[next(sources)]
-        for src in sources:
-            acc += flat[src]
-        acc /= math.factorial(k)
-        acc *= scale
+    for src in sources:
+        if step < 2:  # wide rows, one at a time
+            for row in src:
+                acc = flat[row] if acc is None else np.add(acc, flat[row], out=acc)
+        else:  # narrow rows, about _READ_CHUNK reads a call
+            for lo in range(0, len(src), step):
+                reads = flat[src[lo:lo + step]]
+                if acc is not None:
+                    reads[0] += acc
+                acc = np.add.accumulate(reads)[-1]
+    acc /= math.factorial(k)
+    acc *= scale
     if strength != 0.0:
         spike = v[multi[0]]
         for row in multi[1:]:
             spike *= v[row]
         spike *= strength
-        if acc is None:
-            return spike
         acc += spike
     return acc
 
@@ -269,24 +295,28 @@ def _orbit_values(flat, multi, sources, k: int, scale: float, strength: float, v
 def _symmetric(n: int, k: int, g=None, scale=1.0, strength=0.0, v=None) -> np.ndarray:
     """scale * Sym(g) + strength * v^(tensor k), exactly symmetric.
 
-    Each value is computed once, at the sorted-index representative of its
-    orbit, and copied to the rest of the orbit. ``g`` (n^k entries, or None
-    for the spike alone) is overwritten at k = 2 and read at k >= 3, where
-    k <= 10. Small shapes use the cached plan and one gather back; larger
-    ones write blocks of about ``_CANON_CHUNK`` sources straight to their orbits.
+    ``g`` (n^k entries, or None for the spike alone) is overwritten at k = 2
+    and read at k >= 3, where k <= 10. There each value is computed once, at
+    the sorted-index representative of its orbit, and written to the whole
+    orbit: by one gather back from the cached plan for small shapes, otherwise
+    in blocks of about ``_CANON_CHUNK`` sources. The spike alone needs no orbits.
     """
     if strength != 0.0:
         v = np.asarray(v, dtype=np.float64)
+    if g is None:
+        return _spike(n, k, strength, v)
     if k == 2:
         return _fold(n, g, scale, strength, v)
-    size = n**k
-    flat = None if g is None else g.reshape(-1)  # one copy at most, if g is not contiguous
-    if size + math.factorial(k) * math.comb(n + k - 1, k) <= _CANON_CACHE_LIMIT:
+    flat = g.reshape(-1)  # one copy at most, if g is not contiguous
+    if n**k + math.factorial(k) * math.comb(n + k - 1, k) <= _CANON_CACHE_LIMIT:
         multi, sources, back = _orbit_plan(n, k)
         return _orbit_values(flat, multi, sources, k, scale, strength, v)[back].reshape((n,) * k)
-    out = np.empty(size)
+    out = np.empty(n**k)
     for multi, sources in _orbit_blocks(n, k, max(1, _CANON_CHUNK // math.factorial(k))):
-        out[sources] = _orbit_values(flat, multi, sources, k, scale, strength, v)
+        vals = _orbit_values(flat, multi, sources, k, scale, strength, v)
+        for src in sources:
+            out[src] = vals
+        del sources, src  # k! sources a column at k >= 9: free them before the next block
     return out.reshape((n,) * k)
 
 

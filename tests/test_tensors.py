@@ -104,7 +104,7 @@ def test_outer_power_matches_bruteforce(n, k):
     assert isinstance(got, SymmetricTensor)
 
 
-@pytest.mark.parametrize("n,k", [(4, 3), (3, 4), (5, 5), (2, 7)])
+@pytest.mark.parametrize("n,k", [(4, 3), (3, 4), (5, 5), (2, 7), (3, 12), (1, 30)])
 def test_outer_power_bits_match_sorted_index_product(n, k):
     """Every entry is the coordinates multiplied in sorted index order, to the
     last bit and the sign of a zero."""
@@ -129,7 +129,7 @@ def test_symmetrize_close_to_bruteforce(n, k):
 
 
 @pytest.mark.parametrize(
-    "n,k", [(1, 3), (2, 3), (7, 3), (30, 3), (2, 4), (5, 4), (2, 5), (4, 5), (3, 6), (2, 7)]
+    "n,k", [(1, 3), (2, 3), (7, 3), (30, 3), (2, 4), (5, 4), (2, 5), (4, 5), (3, 6), (2, 7), (1, 9)]
 )
 def test_symmetrize_bits_match_transpose_sum(n, k):
     arr = random_tensor(n, k, 31 * n + k)
@@ -141,7 +141,7 @@ def test_symmetrize_streamed_path_keeps_the_bits(monkeypatch):
     written straight to their orbits give the bits of the transpose sum."""
     monkeypatch.setattr(tensors_mod, "_CANON_CACHE_LIMIT", 64)
     monkeypatch.setattr(tensors_mod, "_CANON_CHUNK", 7)
-    for n, k in ((5, 3), (4, 4)):
+    for n, k in ((5, 3), (4, 4), (2, 9)):
         arr = random_tensor(n, k, 8)
         assert symmetrize(arr).array.tobytes() == symmetrize_transpose_sum(arr).tobytes()
 
