@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 import time
 
 from . import __version__
 from .ensembles import STREAM_SAMPLE, EnsembleSpec, sample_trial, sub_seed_hex
+from .ensembles import _threads_default  # noqa: F401  (perfbench/run.py records the worker count)
 from .errors import ConfigError, NumericalFailure, SpikedLabError
 from .inference import (
     ExperimentSpec,
@@ -205,11 +207,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls and every func looks its
+    # library names up at call time, so one parser serves the process
+    return build_parser()
+
+
 def main(argv=None) -> int:
     started = time.monotonic()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         result = args.func(args)
         if isinstance(result, dict):  # CSV text goes out as it is
             meta = {"package_version": __version__, "wall_clock_s": time.monotonic() - started}

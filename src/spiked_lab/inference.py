@@ -8,17 +8,19 @@ coefficients, every term positive, summed exactly in log space. Only the
 tail probability integrates the density: with t = sin(theta) the integrand
 becomes cos(theta)^(n-2) on [-pi/2, pi/2], which removes the n = 2
 endpoint singularity, and a composite Gauss-Legendre rule does the rest.
+
+scipy is imported inside the functions that call it, so sampling and the
+experiments run on numpy alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammaln, logsumexp, roots_legendre
 
 from .ensembles import (
     STREAM_TEST,
@@ -42,7 +44,6 @@ from .spectra import eigvals_sym, ks_distance
 from .tensors import DEFAULT_ENTRY_BUDGET, _as_array, frobenius, operator_norm_lb
 
 _LOG_TOL_1D = 1e-10
-_GL16_X, _GL16_W = roots_legendre(16)
 _SERIES_BLOCK = 1024
 _SERIES_MAX_TERMS = 1 << 22
 _SERIES_MAX_INDEX = 2.0**52
@@ -75,6 +76,14 @@ def first_coord_log_density(t: float, n: int) -> float:
     return log_cn(n) + 0.5 * (n - 3) * math.log1p(-(t * t))
 
 
+@functools.cache
+def _gl16() -> tuple[np.ndarray, np.ndarray]:
+    """The 16-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    from scipy.special import roots_legendre
+
+    return roots_legendre(16)
+
+
 def _log_cos(theta):
     # log1p keeps log cos accurate near theta = 0, where the factor n - 2 magnifies its error
     return 0.5 * np.log1p(-np.sin(theta) ** 2)
@@ -105,14 +114,17 @@ def first_coord_tail_logprob(a: float, n: int) -> float:
     lo, hi = math.asin(a), math.pi / 2.0
     if n > 3:
         hi = min(hi, math.acos(math.cos(lo) * math.exp(-140.0 / (n - 2))))
+    from scipy.special import logsumexp
+
     half = 0.5 * (hi - lo)
     lc, log_half = log_cn(n), math.log(half)
+    gl_x, gl_w = _gl16()
     prev = None
     for m in (128, 256, 512, 1024, 2048, 4096):
         panels = m // 16
-        x = ((2.0 * np.arange(panels) + 1.0)[:, None] + _GL16_X).ravel() / panels - 1.0
+        x = ((2.0 * np.arange(panels) + 1.0)[:, None] + gl_x).ravel() / panels - 1.0
         theta = 0.5 * (hi + lo) + half * x
-        log_w = np.tile(np.log(_GL16_W / panels), panels)
+        log_w = np.tile(np.log(gl_w / panels), panels)
         cur = float(logsumexp(lc + (n - 2) * _log_cos(theta) + log_w)) + log_half
         if prev is not None:
             err = abs(cur - prev)
@@ -168,6 +180,8 @@ def _log_rising_excess(g: float, m: np.ndarray) -> np.ndarray:
     below 1e-17 there.
     """
     if g < 100.0:
+        from scipy.special import gammaln
+
         return gammaln(g + m) - gammaln(g) - m * math.log(g)
 
     def corr(x):
@@ -195,6 +209,8 @@ def _log_series(log_x: float, pos, neg) -> tuple[float, float, int]:
     Returns the log sum, a bound on the relative mass left out, and the
     number of terms summed.
     """
+    from scipy.optimize import brentq
+
     net = Counter(pos)
     net.subtract(neg)
     par = [(v, c) for v, c in net.items() if c]
@@ -375,8 +391,9 @@ def likelihood_ratio_mc(
     u = np.exp(logw - top)
     total = float(np.sum(u))
     log_est = top + math.log(total / n_samples)
-    estimate = float(np.exp(log_est))
-    std_error = float(np.exp(top) * np.std(u, ddof=1) / math.sqrt(n_samples))
+    with np.errstate(over="ignore"):  # past exp(709) the linear-scale values are inf; the log stays
+        estimate = float(np.exp(log_est))
+        std_error = float(np.exp(top) * np.std(u, ddof=1) / math.sqrt(n_samples))
     dominated = bool(np.max(u) / total > 0.99)
     return LikelihoodRatioEstimate(log_est, estimate, std_error, dominated, n_samples)
 
@@ -634,6 +651,25 @@ def _roc_curve(stats0: np.ndarray, stats1: np.ndarray) -> list:
     return pts
 
 
+def _guarded(stat, name: str, hyp: int):
+    """``stat`` with a numpy overflow or invalid operation raised as a NumericalFailure.
+
+    numpy's error state is per thread, so it is set on the worker, around
+    each trial's call.
+    """
+
+    def run(x, *, trial, **kw):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return stat(x, trial=trial, **kw)
+        except FloatingPointError as exc:
+            raise NumericalFailure(
+                f"statistic {name!r} failed at hypothesis H{hyp}, trial {trial}: {exc}"
+            ) from exc
+
+    return run
+
+
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> ExperimentResult:
     """Sample both hypotheses, apply the test, and summarize separation.
 
@@ -644,12 +680,15 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Experime
     between the two statistic samples, which is also the best achievable
     |power - fpr| over all thresholds. ``workers`` defaults to
     SPIKED_LAB_THREADS, else the CPU count; the results do not depend on it.
-    A non-finite statistic is a NumericalFailure, never a decision.
+    A non-finite statistic, or an overflow or invalid operation inside one,
+    is a NumericalFailure, never a decision.
     """
     stat = make_statistic(spec.statistic, spec.params)
     workers = _threads_default() if workers is None else workers
     batches = tuple(
-        batch_statistics(ens, spec.trials, stat, workers, spec.seed * 2 + hyp)
+        batch_statistics(
+            ens, spec.trials, _guarded(stat, spec.statistic, hyp), workers, spec.seed * 2 + hyp
+        )
         for hyp, ens in enumerate((spec.h0, spec.h1))
     )
     for hyp, batch in enumerate(batches):

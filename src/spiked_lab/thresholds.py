@@ -9,6 +9,9 @@ golden-section refinement. The asymmetric threshold is lambda_k =
 sqrt(k/2) * beta_k. Internally the objective is minimized in log form,
 log(-log1p(-q^2)) - k log q, which is stable over the whole open interval
 (no underflow of q^k for large k, no cancellation near q = 0).
+
+scipy is imported inside the functions that call it, so importing this
+module (and the CLI) loads numpy alone.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .errors import ContractError, _check_count, _check_order, _check_strength
 
@@ -195,6 +197,8 @@ def g_lambda_critical(lam: float, k: int) -> list[CriticalPoint]:
     elif peak <= 0.0:
         roots = []
     else:  # at k = 2 the lower side (0, q_m) is empty
+        from scipy.optimize import brentq
+
         roots = [float(brentq(phi, a, b, xtol=1e-14)) for a, b in ((0.0, q_m), (q_m, 1.0)) if a < b]
     return [CriticalPoint(q=q, value=g_lambda([q] * k, lam)) for q in roots]
 
@@ -224,6 +228,8 @@ def g_lambda_max(lam: float, k: int, n_starts: int = 100, seed: int = 0) -> Asce
     points in (-0.99, 0.99)^k. Below the fold strength the only stationary
     point is the origin and every run collapses onto it.
     """
+    from scipy.optimize import minimize
+
     k = _check_order(k)
     _check_strength(lam, "lambda")
     n_starts = _check_count(n_starts, "n_starts", 1)

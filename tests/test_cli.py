@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from spiked_lab.cli import main
 from spiked_lab.ensembles import EnsembleSpec, sample_trial, sub_seed_hex
 from spiked_lab.inference import (
+    STATISTICS,
     ExperimentSpec,
     first_coord_tail_logprob,
     run_experiment,
@@ -370,3 +372,208 @@ def test_second_moment_curves_script_runs():
     header = proc.stdout.splitlines()[0].split(",")
     assert "method" in header
     assert len(proc.stdout.splitlines()) == 4
+
+
+# --- one parser per process --------------------------------------------------
+
+
+def _without_meta(payload):
+    return {key: value for key, value in payload.items() if key != "meta"}
+
+
+def test_parser_is_built_once_and_build_parser_stays_fresh():
+    from spiked_lab import cli
+
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_overrides_do_not_carry_into_the_next_call(capsys):
+    from spiked_lab import cli
+
+    spec = json.dumps(EXPERIMENT)
+    first = run_json(
+        capsys, "experiment", "--spec", spec, "--seed", "5", "--trials", "3", "--threads", "1"
+    )
+    assert (first["seed"], first["trials"]) == (5, 3)
+    second = run_json(capsys, "experiment", "--spec", spec, "--threads", "1")
+    cli._parser.cache_clear()
+    fresh = run_json(capsys, "experiment", "--spec", spec, "--threads", "1")
+    assert _without_meta(second) == _without_meta(fresh)
+    assert (second["seed"], second["trials"]) == (EXPERIMENT["seed"], EXPERIMENT["trials"])
+
+
+def test_a_usage_error_leaves_the_next_call_working(capsys):
+    code, out, err = run_cli(capsys, "threshold", "--k", "3", "--bogus")
+    assert code == 1 and out == "" and err.startswith("error: usage: ")
+    assert run_json(capsys, "threshold", "--k", "3")["k"] == 3
+
+
+def test_output_flag_does_not_redirect_the_next_call(capsys, tmp_path):
+    path = tmp_path / "first.json"
+    code, out, _ = run_cli(capsys, "threshold", "--k", "3", "--output", str(path))
+    assert code == 0 and out == ""
+    assert json.loads(path.read_text())["k"] == 3
+    assert run_json(capsys, "threshold", "--k", "4")["k"] == 4
+    assert json.loads(path.read_text())["k"] == 3
+
+
+def test_sample_after_experiment(capsys):
+    run_json(capsys, "experiment", "--spec", json.dumps(EXPERIMENT), "--threads", "1")
+    payload = run_json(capsys, "sample", "--spec", '{"model": "goe", "n": 3, "seed": 4}')
+    want = sample_trial(EnsembleSpec.from_json_dict({"model": "goe", "n": 3, "seed": 4}), 0)
+    assert np.array_equal(tensor_from_json(json.dumps(payload["tensor"])).array, want.array)
+
+
+def test_cli_binds_the_default_worker_count(monkeypatch):
+    from spiked_lab import cli
+
+    monkeypatch.setenv("SPIKED_LAB_THREADS", "3")
+    assert cli._threads_default() == 3
+    monkeypatch.delenv("SPIKED_LAB_THREADS")
+    assert cli._threads_default() == max(1, os.cpu_count() or 1)
+
+
+# --- scipy only where it is called -------------------------------------------
+
+_SCIPY_HEAVY = ("scipy.optimize", "scipy.special", "scipy.linalg")
+
+_SMALL_EXPERIMENTS = (
+    {
+        "h0": {"model": "goe", "n": 4},
+        "h1": {"model": "sym_spiked", "n": 4, "k": 2, "strength": 1.5},
+        "test": {"statistic": "trace"},
+    },
+    {
+        "h0": {"model": "goe", "n": 4},
+        "h1": {"model": "hidden_clique", "n": 4, "strength": 2},
+        "test": {"statistic": "eig", "delta": 0.1},
+    },
+    {
+        "h0": {"model": "asym_noise", "n": 3, "k": 3},
+        "h1": {"model": "asym_spiked", "n": 3, "k": 3, "strength": 2.0},
+        "test": {"statistic": "frob", "threshold": 5.0},
+    },
+    {
+        "h0": {"model": "sym_noise", "n": 3, "k": 3},
+        "h1": {"model": "sym_spiked", "n": 3, "k": 3, "strength": 2.0},
+        "test": {"statistic": "lr", "params": {"samples": 16}},
+    },
+    {
+        "h0": {"model": "sym_noise", "n": 3, "k": 3},
+        "h1": {"model": "sym_spiked", "n": 3, "k": 3, "strength": 2.0},
+        "test": {"statistic": "opnorm", "threshold": 2.0, "params": {"restarts": 2, "iters": 5}},
+    },
+)
+
+# thresholds, second moments and tail rates: the payloads must not depend on when scipy loads
+_THEORY_CALLS = (
+    ("threshold", "--k", "3"),
+    ("second-moment", "--model", "sym", "--k", "3", "--n", "1000", "--strength", "0.5"),
+    ("second-moment", "--model", "asym", "--k", "2", "--n", "50", "--strength", "0.8"),
+    ("rate", "--a", "0.3", "--n", "2000"),
+)
+
+_FRESH_INTERPRETER = """
+import contextlib, io, json, sys
+
+heavy, numpy_calls, theory_calls = json.loads(sys.argv[1])
+
+
+def loaded():
+    return [name for name in heavy if name in sys.modules]
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert spiked_lab.cli.main(argv) == 0, argv
+    return out.getvalue()
+
+
+import spiked_lab, spiked_lab.cli
+
+report = {"after_import": loaded()}
+for argv in numpy_calls:
+    run(argv)
+report["after_numpy_calls"] = loaded()
+report["payloads"] = [json.loads(run(argv)) for argv in theory_calls]
+print(json.dumps(report))
+"""
+
+
+def test_sampling_and_experiments_never_load_scipy(capsys):
+    """A fresh interpreter: the import and the numpy-only commands leave scipy's heavy modules out."""
+    numpy_calls = [["sample", "--spec", '{"model": "sym_spiked", "n": 3, "k": 3, "strength": 1.0}']]
+    assert sorted(spec["test"]["statistic"] for spec in _SMALL_EXPERIMENTS) == sorted(STATISTICS)
+    numpy_calls += [
+        ["experiment", "--threads", "1", "--spec", json.dumps({**spec, "trials": 2, "seed": 1})]
+        for spec in _SMALL_EXPERIMENTS
+    ]
+    config = json.dumps([_SCIPY_HEAVY, numpy_calls, _THEORY_CALLS])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_INTERPRETER, config],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["after_import"] == []
+    assert report["after_numpy_calls"] == []
+    for argv, payload in zip(_THEORY_CALLS, report["payloads"], strict=True):
+        assert _without_meta(payload) == _without_meta(run_json(capsys, *argv)), argv
+
+
+# --- overflow inside a statistic ---------------------------------------------
+
+_OVERFLOWS = {
+    "opnorm": {
+        "h0": {"model": "sym_noise", "n": 3, "k": 3},
+        "h1": {"model": "sym_spiked", "n": 3, "k": 3, "strength": 1e300},
+        "test": {"statistic": "opnorm", "threshold": 1.0},
+    },
+    "frob": {
+        "h0": {"model": "asym_noise", "n": 3, "k": 3},
+        "h1": {"model": "asym_spiked", "n": 3, "k": 3, "strength": 1e308},
+        "test": {"statistic": "frob", "threshold": 1.0},
+    },
+    "lr": {
+        "h0": {"model": "sym_noise", "n": 3, "k": 3},
+        "h1": {"model": "sym_spiked", "n": 3, "k": 3, "strength": 1.0},
+        "test": {"statistic": "lr", "params": {"beta": 1e300}},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name,where",
+    [("opnorm", "H1, trial 0: overflow"), ("frob", "H1, trial 0: overflow"), ("lr", "H0, trial 0: ")],
+)
+def test_overflow_inside_a_statistic_exits_two(capsys, name, where):
+    """Each trial runs on its own worker thread, where the error state must be set."""
+    spec = json.dumps({**_OVERFLOWS[name], "trials": 2})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "experiment", "--spec", spec, "--threads", "2")
+    assert code == 2 and out == ""
+    assert err.startswith(f"numerical failure: statistic {name!r} failed at hypothesis {where}")
+    assert err.count("\n") == 1 and "Warning" not in err
+
+
+def test_strong_lr_signal_is_a_valid_statistic(capsys):
+    """The linear-scale likelihood ratio overflows to inf here; the log statistic does not."""
+    spec = {
+        "h0": {"model": "goe", "n": 10},
+        "h1": {"model": "sym_spiked", "n": 10, "k": 2, "strength": 30.0},
+        "test": {"statistic": "lr"},
+        "trials": 3,
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "experiment", "--spec", json.dumps(spec), "--threads", "2")
+    assert code == 0 and err == ""
+    assert json.loads(out)["power"] == 1.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -490,6 +491,16 @@ def test_lr_validation():
     )
 
 
+def test_lr_linear_scale_overflows_to_inf_without_a_warning():
+    """A strong spike puts the log estimate past exp(709); the log is still the value."""
+    spec = EnsembleSpec.from_json_dict({"model": "sym_spiked", "n": 10, "k": 2, "strength": 30.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = likelihood_ratio_mc(sample_trial(spec, 0), 30.0, 2048, np.random.default_rng(0))
+    assert 709.8 < est.log_estimate < math.inf
+    assert est.estimate == math.inf and est.std_error == math.inf
+
+
 # --- simple tests and their separation -----------------------------------------
 
 
@@ -753,6 +764,30 @@ def test_run_experiment_refuses_a_nan_statistic(monkeypatch):
     spec = ExperimentSpec.from_json_dict(_eig_experiment_dict(trials=4))
     with pytest.raises(NumericalFailure, match=r"'eig' is nan at hypothesis H1, trial 2"):
         run_experiment(spec, workers=1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_experiment_reports_an_overflow_inside_a_statistic(monkeypatch, workers):
+    """numpy's error state is per thread: an overflow on any worker is one NumericalFailure."""
+
+    def overflow_at_h1_trial_1(name, params=None):
+        def stat(x, *, spec, trial, **kw):
+            big = np.float64(1e300) if spec.seed == 12 and trial == 1 else np.float64(1.0)
+            return float(big * big)
+
+        return stat
+
+    monkeypatch.setattr("spiked_lab.inference.make_statistic", overflow_at_h1_trial_1)
+    spec = ExperimentSpec.from_json_dict(_eig_experiment_dict(trials=4))
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure) as info:
+            run_experiment(spec, workers=workers)
+    assert str(info.value).startswith(
+        "statistic 'eig' failed at hypothesis H1, trial 1: overflow encountered in "
+    )
+    assert np.geterr() == before
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2.7, "2", True])

@@ -23,8 +23,7 @@ from spiked_lab.inference import STATISTICS, ExperimentSpec, run_experiment
 DOCUMENTED = (ConfigError, ContractError, SizingError)
 
 # Finite numbers stay within 1e6: far larger strengths overflow inside the
-# statistics (numpy warnings, then a non-finite value), which is not what
-# these tests are about.
+# statistics, a NumericalFailure, which is not what these tests are about.
 floats = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([math.nan, math.inf, -math.inf]))
 junk = st.one_of(
     st.none(),
