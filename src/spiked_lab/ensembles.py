@@ -105,7 +105,7 @@ class EnsembleSpec:
         if self.model in _MATRIX_ONLY and self.k != 2:
             raise ConfigError("k", f"model {self.model!r} is a matrix model; k must be 2")
         try:
-            _check_budget(self.n, self.k, None)
+            _check_budget(self.n, self.k)
         except SizingError as exc:  # refused before any draw, not as a failed allocation
             raise ConfigError("n", str(exc)) from None
         if _finite_number(self.strength, "strength") < 0:

@@ -19,6 +19,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -411,11 +412,14 @@ def trace_test(x, beta: float, threshold: float | None = None) -> int:
 
     Under noise the trace is N(0, 2); a rank-one unit spike of size beta
     shifts its mean to beta, so the likelihood ratio test thresholds at
-    the midpoint.
+    the midpoint. An explicit ``threshold`` must be a finite number.
     """
     beta = _check_strength(beta, "beta")
-    cut = 0.5 * beta if threshold is None else float(threshold)
-    return int(trace_stat(x) >= cut)
+    if threshold is None:
+        threshold = 0.5 * beta
+    elif isinstance(threshold, bool) or not isinstance(threshold, Real) or not -math.inf < threshold < math.inf:
+        raise ContractError(f"threshold must be a finite number, got {threshold!r}")
+    return int(trace_stat(x) >= threshold)
 
 
 def trace_tv(beta: float) -> float:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,15 +11,12 @@ from .tensors import SymmetricTensor, _as_array
 
 _SYMMETRY_TOL = 1e-10
 
-QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
-
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues in descending order; residual is set when vectors were computed."""
+    """Eigenvalues in descending order."""
 
     eigenvalues: np.ndarray
-    residual: float | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -39,58 +35,29 @@ class Spectrum:
         return float(self.eigenvalues[0])
 
 
-def eigvals_sym(x, vectors: bool = False):
-    """Full symmetric eigendecomposition, eigenvalues descending.
+def eigvals_sym(x) -> Spectrum:
+    """Eigenvalues of a symmetric matrix, descending.
 
-    Input must be symmetric within 1e-10 (scaled by the largest entry); a
-    SymmetricTensor is exactly symmetric by type and skips that check. With
-    ``vectors=True`` returns (Spectrum, V) where column i of V pairs with
-    eigenvalue i, and the Spectrum carries the max residual |X v - lambda v|.
+    A plain array must be finite and symmetric within 1e-10 (scaled by the
+    largest entry); a SymmetricTensor is exactly symmetric by type and skips
+    both checks.
     """
     sym, k, _ = _as_array(x)
     if k != 2:
         raise ContractError(f"expected a square matrix, got order {k}")
     if not isinstance(x, SymmetricTensor):
+        if not np.all(np.isfinite(sym)):
+            raise ContractError("matrix has non-finite entries")
         scale = max(1.0, float(np.max(np.abs(sym))) if sym.size else 1.0)
         asym = float(np.max(np.abs(sym - sym.T))) if sym.size else 0.0
         if asym > _SYMMETRY_TOL * scale:
             raise ContractError(f"matrix is not symmetric: max |X - X^T| = {asym:g}")
         sym = (sym + sym.T) / 2.0
     try:
-        if vectors:
-            w, v = np.linalg.eigh(sym)
-        else:
-            w = np.linalg.eigvalsh(sym)
+        w = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver did not converge: {exc}", partial={"matrix": sym}) from exc
-    w = np.ascontiguousarray(w[::-1])  # the solvers return ascending order
-    if vectors:
-        v = np.ascontiguousarray(v[:, ::-1])
-        residual = float(np.max(np.linalg.norm(sym @ v - v * w, axis=0))) if w.size else 0.0
-        return Spectrum(eigenvalues=w, residual=residual), v
-    return Spectrum(eigenvalues=w)
-
-
-@dataclass(frozen=True)
-class LargestEigStats:
-    trials: int
-    mean: float
-    std: float
-    quantiles: dict
-
-
-def largest_eig_stats(spectra) -> LargestEigStats:
-    """Mean, std, and quantiles of the top eigenvalue over a batch.
-
-    Accepts a sequence of Spectrum objects or of plain top-eigenvalue floats.
-    """
-    values = [s.largest if isinstance(s, Spectrum) else float(s) for s in spectra]
-    if not values:
-        raise ContractError("largest_eig_stats needs at least one spectrum")
-    arr = np.asarray(values, dtype=np.float64)
-    qs = {str(q): float(np.quantile(arr, q)) for q in QUANTILES}
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return LargestEigStats(trials=arr.size, mean=float(arr.mean()), std=std, quantiles=qs)
+    return Spectrum(eigenvalues=np.ascontiguousarray(w[::-1]))  # eigvalsh returns ascending order
 
 
 def ks_distance(a, b) -> float:
@@ -114,48 +81,3 @@ def semicircle_ref(x):
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out
-
-
-def spectra_to_csv(spectra, path) -> None:
-    """One row per trial, columns lambda_1..lambda_n (descending)."""
-    rows = [s.eigenvalues if isinstance(s, Spectrum) else np.asarray(s) for s in spectra]
-    if not rows:
-        raise ContractError("no spectra to export")
-    n = rows[0].size
-    if any(r.size != n for r in rows):
-        raise ContractError("spectra have inconsistent lengths")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"lambda_{i + 1}" for i in range(n)])
-        for r in rows:
-            writer.writerow([repr(float(v)) for v in r])
-
-
-def spectra_from_csv(path) -> list[Spectrum]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ContractError("empty spectra CSV")
-        out = []
-        for row in reader:
-            out.append(Spectrum(eigenvalues=np.asarray([float(v) for v in row])))
-    return out
-
-
-def summarize_spectra(spectra) -> dict:
-    """JSON-ready summary of a batch of spectra."""
-    lam1 = largest_eig_stats(spectra)
-    rows = [s.eigenvalues for s in spectra]
-    traces = [float(r.sum()) for r in rows]
-    return {
-        "trials": lam1.trials,
-        "n": int(rows[0].size),
-        "largest": {
-            "mean": lam1.mean,
-            "std": lam1.std,
-            "quantiles": lam1.quantiles,
-        },
-        "trace_mean": float(np.mean(traces)),
-        "trace_std": float(np.std(traces, ddof=1)) if len(traces) > 1 else 0.0,
-    }

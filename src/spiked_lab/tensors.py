@@ -44,13 +44,17 @@ _READ_CHUNK = 1 << 12
 # Side of the square tiles the k = 2 kernel walks: a pair of them stays in cache.
 _FOLD_TILE = 128
 
+# Index tuples a symmetry check samples on a large tensor, and the relative
+# change of |<X, u^k>| at which a power-iteration restart stops.
+_SYMMETRY_SAMPLES = 128
+_POWER_TOL = 1e-12
 
-def _check_budget(dim: int, order: int, entry_budget: int | None) -> int:
-    budget = DEFAULT_ENTRY_BUDGET if entry_budget is None else int(entry_budget)
+
+def _check_budget(dim: int, order: int) -> int:
     # for n >= 2 this order alone gives 2^k > budget; n^k itself could take
     # minutes to form and has too many digits to print
-    if dim > 1 and order >= budget.bit_length() or dim**order > budget:
-        raise SizingError(f"tensor with n={dim}, k={order} exceeds the entry budget {budget}")
+    if dim > 1 and order >= DEFAULT_ENTRY_BUDGET.bit_length() or dim**order > DEFAULT_ENTRY_BUDGET:
+        raise SizingError(f"tensor with n={dim}, k={order} exceeds the entry budget {DEFAULT_ENTRY_BUDGET}")
     return dim**order
 
 
@@ -65,7 +69,7 @@ class DenseTensor:
 
     __slots__ = ("order", "dim", "array")
 
-    def __init__(self, array, order=None, dim=None, *, entry_budget=None):
+    def __init__(self, array, order=None, dim=None):
         arr = np.asarray(array, dtype=np.float64)
         if order is None:
             order = arr.ndim
@@ -79,7 +83,7 @@ class DenseTensor:
             else:
                 raise ContractError("dim required when constructing from flat entries")
         dim = _check_count(dim, "tensor dimension", 1)
-        count = _check_budget(dim, order, entry_budget)
+        count = _check_budget(dim, order)
         if arr.size != count:
             raise ContractError(
                 f"entry count {arr.size} does not match n^k = {dim}^{order} = {count}"
@@ -131,8 +135,8 @@ class SymmetricTensor(DenseTensor):
     construction.
     """
 
-    def __init__(self, array, order=None, dim=None, *, check=True, entry_budget=None):
-        super().__init__(array, order, dim, entry_budget=entry_budget)
+    def __init__(self, array, order=None, dim=None, *, check=True):
+        super().__init__(array, order, dim)
         if check and not _exactly_symmetric(self.array):
             raise ContractError("array is not symmetric under index permutations")
 
@@ -149,7 +153,7 @@ class UnitVector:
         if arr.ndim != 1 or arr.size < 1:
             raise ContractError("unit vector needs a nonempty 1-d coordinate array")
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > self.NORM_TOL:
+        if not abs(norm - 1.0) <= self.NORM_TOL:  # a NaN norm fails too
             raise ContractError(f"norm {norm!r} is not 1 within {self.NORM_TOL}")
         object.__setattr__(self, "coords", _freeze(arr))
 
@@ -320,7 +324,7 @@ def _symmetric(n: int, k: int, g=None, scale=1.0, strength=0.0, v=None) -> np.nd
     return out.reshape((n,) * k)
 
 
-def _exactly_symmetric(arr: np.ndarray, sample_tuples: int = 128) -> bool:
+def _exactly_symmetric(arr: np.ndarray) -> bool:
     k = arr.ndim
     if k == 1:
         return True
@@ -330,7 +334,7 @@ def _exactly_symmetric(arr: np.ndarray, sample_tuples: int = 128) -> bool:
             for p in itertools.permutations(range(k))
         )
     rng = np.random.Generator(np.random.Philox(key=np.array([0, 0], dtype=np.uint64)))
-    idx = rng.integers(0, arr.shape[0], size=(sample_tuples, k))
+    idx = rng.integers(0, arr.shape[0], size=(_SYMMETRY_SAMPLES, k))
     for row in idx:
         ref = arr[tuple(row)]
         for p in itertools.permutations(range(k)):
@@ -339,15 +343,15 @@ def _exactly_symmetric(arr: np.ndarray, sample_tuples: int = 128) -> bool:
     return True
 
 
-def outer_power(v: UnitVector | np.ndarray, k: int, *, entry_budget=None) -> SymmetricTensor:
+def outer_power(v: UnitVector | np.ndarray, k: int) -> SymmetricTensor:
     """Rank-one symmetric tensor v^(tensor k): entry (i_1..i_k) = prod_j v_{i_j}."""
     k = _check_count(k, "order", 1)
     coords = v.coords if isinstance(v, UnitVector) else np.asarray(v, dtype=np.float64)
     if coords.ndim != 1:
         raise ContractError("outer_power expects a vector")
-    _check_budget(coords.size, k, entry_budget)
+    _check_budget(coords.size, k)
     arr = coords if k == 1 else _symmetric(coords.size, k, strength=1.0, v=coords)
-    return SymmetricTensor(arr, check=False, entry_budget=entry_budget)
+    return SymmetricTensor(arr, check=False)
 
 
 def inner(x, y) -> float:
@@ -365,7 +369,7 @@ def frobenius(x) -> float:
     return float(np.linalg.norm(ax.reshape(-1)))
 
 
-def symmetrize(x, *, entry_budget=None):
+def symmetrize(x):
     """Average of all k! index permutations of X.
 
     Exactly symmetric output; idempotent (a SymmetricTensor is returned
@@ -379,10 +383,10 @@ def symmetrize(x, *, entry_budget=None):
     if k > 10:
         raise ContractError(f"symmetrize supports order <= 10, got k={k}")
     if k == 1:
-        return SymmetricTensor(arr.copy(), check=False, entry_budget=entry_budget)
+        return SymmetricTensor(arr.copy(), check=False)
     # the k = 2 kernel folds in place, so it gets a copy
     out = _symmetric(n, k, arr.copy() if k == 2 else arr)
-    return SymmetricTensor(out, check=False, entry_budget=entry_budget)
+    return SymmetricTensor(out, check=False)
 
 
 class OperatorNormBound(NamedTuple):
@@ -395,8 +399,6 @@ def operator_norm_lb(
     restarts: int = 8,
     iters: int = 200,
     rng: np.random.Generator | None = None,
-    *,
-    tol: float = 1e-12,
 ) -> OperatorNormBound:
     """Lower bound on max_{|u|=1} |<X, u^(tensor k)>| by symmetric power iteration.
 
@@ -437,7 +439,7 @@ def operator_norm_lb(
             if tn == 0.0:
                 break
             u = tu / tn
-            if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
+            if prev is not None and abs(val - prev) <= _POWER_TOL * max(1.0, abs(val)):
                 break
             prev = val
         tu = contract(u)
@@ -465,7 +467,7 @@ def save_tensor(x, path) -> None:
         fh.write(arr.reshape(-1).astype("<f8").tobytes())
 
 
-def load_tensor(path, *, entry_budget=None) -> DenseTensor:
+def load_tensor(path) -> DenseTensor:
     """Read a tensor written by ``save_tensor``; an unreadable path is a ContractError."""
     try:
         fh = open(path, "rb")
@@ -480,14 +482,14 @@ def load_tensor(path, *, entry_budget=None) -> DenseTensor:
             raise ContractError(f"bad magic {magic!r}, expected {_MAGIC!r}")
         if version != _FORMAT_VERSION:
             raise ContractError(f"unsupported tensor format version {version}")
-        count = _check_budget(n, k, entry_budget)
+        count = _check_budget(n, k)
         payload = fh.read(8 * count + 8)
         if len(payload) != 8 * count:
             raise ContractError(
                 f"payload length {len(payload)} does not match n^k = {count} entries"
             )
     entries = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return DenseTensor(entries, order=k, dim=n, entry_budget=entry_budget)
+    return DenseTensor(entries, order=k, dim=n)
 
 
 def tensor_to_json(x) -> str:

@@ -62,38 +62,25 @@ class RateFunctionPoint:
     value: float
 
 
-def f_beta(q, beta: float, k: int, boundary: str = "raise"):
-    """Symmetric variational function beta^2 q^k / 2 + log(1 - q^2) / 2.
-
-    ``boundary`` controls |q| = 1: "raise" treats it as a domain error,
-    "neginf" returns -inf there. |q| > 1 always raises.
-    """
+def f_beta(q, beta: float, k: int):
+    """Symmetric variational function beta^2 q^k / 2 + log(1 - q^2) / 2, for |q| < 1."""
     k = _check_order(k)
     _check_strength(beta, "beta")
-    if boundary not in ("raise", "neginf"):
-        raise ContractError(f"boundary must be 'raise' or 'neginf', got {boundary!r}")
     arr = np.asarray(q, dtype=np.float64)
-    if np.any(np.abs(arr) > 1.0):
-        raise ContractError("q must satisfy |q| <= 1")
-    if boundary == "raise" and np.any(np.abs(arr) == 1.0):
-        raise ContractError("|q| = 1 is outside the domain (pass boundary='neginf' to map it to -inf)")
-    with np.errstate(divide="ignore"):
-        out = 0.5 * beta**2 * arr**k + 0.5 * np.log1p(-(arr**2))
+    if not np.all(np.abs(arr) < 1.0):  # a NaN overlap fails too
+        raise ContractError("q must satisfy |q| < 1")
+    out = 0.5 * beta**2 * arr**k + 0.5 * np.log1p(-(arr**2))
     return float(out) if np.isscalar(q) or arr.ndim == 0 else out
 
 
-def g_lambda(qs, lam: float, boundary: str = "raise") -> float:
-    """Asymmetric variational function lambda^2 prod(q_i) + sum log(1 - q_i^2)/2."""
+def g_lambda(qs, lam: float) -> float:
+    """Asymmetric variational function lambda^2 prod(q_i) + sum log(1 - q_i^2)/2, for |q_i| < 1."""
     _check_strength(lam, "lambda")
     arr = np.asarray(qs, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
         raise ContractError("g_lambda expects a vector of k >= 2 overlaps")
-    if np.any(np.abs(arr) > 1.0):
-        raise ContractError("overlaps must satisfy |q_i| <= 1")
-    if np.any(np.abs(arr) == 1.0):
-        if boundary == "raise":
-            raise ContractError("|q_i| = 1 is outside the domain (pass boundary='neginf')")
-        return float("-inf")
+    if not np.all(np.abs(arr) < 1.0):  # a NaN overlap fails too
+        raise ContractError("overlaps must satisfy |q_i| < 1")
     return float(lam**2 * np.prod(arr) + 0.5 * np.sum(np.log1p(-(arr**2))))
 
 

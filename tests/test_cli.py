@@ -504,7 +504,10 @@ print(json.dumps(report))
 
 def test_sampling_and_experiments_never_load_scipy(capsys):
     """A fresh interpreter: the import and the numpy-only commands leave scipy's heavy modules out."""
-    numpy_calls = [["sample", "--spec", '{"model": "sym_spiked", "n": 3, "k": 3, "strength": 1.0}']]
+    numpy_calls = [
+        ["threshold", "--k", "3"],
+        ["sample", "--spec", '{"model": "sym_spiked", "n": 3, "k": 3, "strength": 1.0}'],
+    ]
     assert sorted(spec["test"]["statistic"] for spec in _SMALL_EXPERIMENTS) == sorted(STATISTICS)
     numpy_calls += [
         ["experiment", "--threads", "1", "--spec", json.dumps({**spec, "trials": 2, "seed": 1})]

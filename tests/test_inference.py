@@ -513,6 +513,9 @@ def test_trace_stat_and_test():
         trace_stat(np.zeros((2, 3)))
     with pytest.raises(ContractError):
         trace_test(m, beta=-1.0)
+    for bad in (math.nan, -math.inf, "x", "1.0", True):
+        with pytest.raises(ContractError, match="threshold must be a finite number"):
+            trace_test(m, beta=1.0, threshold=bad)
 
 
 def test_trace_tv_pinned_value():

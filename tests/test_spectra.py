@@ -8,15 +8,10 @@ from scipy.stats import ks_2samp
 from spiked_lab.ensembles import sample_goe, trial_rng
 from spiked_lab.errors import ContractError
 from spiked_lab.spectra import (
-    QUANTILES,
     Spectrum,
     eigvals_sym,
     ks_distance,
-    largest_eig_stats,
     semicircle_ref,
-    spectra_from_csv,
-    spectra_to_csv,
-    summarize_spectra,
 )
 from spiked_lab.tensors import SymmetricTensor
 
@@ -44,49 +39,24 @@ def test_eigvals_match_exact_rational_bisection():
         assert np.max(np.abs(got - want)) <= 1e-11
 
 
-def test_eigvals_with_vectors_reports_residual():
-    m = sym_matrix(9, 3)
-    spec, v = eigvals_sym(m, vectors=True)
-    assert spec.residual is not None
-    assert spec.residual <= 1e-12
-    # columns reconstruct the matrix
-    assert np.allclose(v @ np.diag(spec.eigenvalues) @ v.T, m, atol=1e-12)
-
-
 def test_eigvals_accepts_symmetric_tensor_input():
     m = sym_matrix(6, 4)
     t = SymmetricTensor(m)
     assert np.array_equal(eigvals_sym(t).eigenvalues, eigvals_sym(m).eigenvalues)
-    (st, vt), (sm, vm) = eigvals_sym(t, vectors=True), eigvals_sym(m, vectors=True)
-    assert np.array_equal(vt, vm) and st.residual == sm.residual
 
 
 def test_eigvals_rejects_asymmetric():
     g = np.random.default_rng(5).standard_normal((4, 4))
     with pytest.raises(ContractError):
         eigvals_sym(g)
+    for bad in (np.nan, np.inf):  # NaN would pass the symmetry tolerance
+        with pytest.raises(ContractError, match="non-finite"):
+            eigvals_sym(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_eigvals_diag_exact():
     d = np.diag([3.0, -1.0, 0.5])
     assert np.array_equal(eigvals_sym(d).eigenvalues, np.array([3.0, 0.5, -1.0]))
-
-
-def test_largest_eig_stats_matches_numpy():
-    rng = np.random.default_rng(8)
-    vals = rng.standard_normal(200)
-    stats = largest_eig_stats(list(vals))
-    assert stats.trials == 200
-    assert stats.mean == pytest.approx(float(np.mean(vals)), rel=1e-12)
-    assert stats.std == pytest.approx(float(np.std(vals, ddof=1)), rel=1e-12)
-    for q in QUANTILES:
-        assert stats.quantiles[str(q)] == pytest.approx(float(np.quantile(vals, q)), rel=1e-12)
-
-
-def test_largest_eig_stats_accepts_spectra():
-    spectra = [eigvals_sym(sym_matrix(4, s)) for s in range(6)]
-    stats = largest_eig_stats(spectra)
-    assert stats.mean == pytest.approx(np.mean([s.largest for s in spectra]))
 
 
 def test_ks_distance_extremes():
@@ -131,23 +101,6 @@ def test_goe_bulk_close_to_semicircle():
     hist, edges = np.histogram(eigs, bins=20, range=(-2.0, 2.0), density=True)
     centers = (edges[:-1] + edges[1:]) / 2.0
     assert np.max(np.abs(hist - semicircle_ref(centers))) <= 0.06
-
-
-def test_csv_roundtrip_bitwise(tmp_path):
-    spectra = [eigvals_sym(sym_matrix(5, s)) for s in range(4)]
-    path = tmp_path / "spectra.csv"
-    spectra_to_csv(spectra, path)
-    back = spectra_from_csv(path)
-    assert len(back) == 4
-    for a, b in zip(spectra, back):
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
-
-
-def test_summarize_spectra_keys():
-    spectra = [eigvals_sym(sym_matrix(5, s)) for s in range(3)]
-    summary = summarize_spectra(spectra)
-    assert summary["trials"] == 3
-    assert "largest" in summary and "mean" in summary["largest"]
 
 
 def test_spectrum_validates_order():

@@ -65,10 +65,12 @@ def test_dense_tensor_immutable():
 
 
 def test_entry_budget_enforced():
+    """The fixed 10^8-entry budget, checked before any n^k array exists."""
+    assert tensors_mod._check_budget(10**4, 2) == 10**8  # exactly at budget is fine
     with pytest.raises(SizingError):
-        DenseTensor(np.zeros((4, 4)), entry_budget=10)
-    # exactly at budget is fine
-    DenseTensor(np.zeros((4, 4)), entry_budget=16)
+        tensors_mod._check_budget(10**4 + 1, 2)
+    with pytest.raises(SizingError):
+        DenseTensor(np.zeros(1), order=3, dim=465)  # 465^3 > 10^8
 
 
 def test_symmetric_tensor_check():
@@ -92,6 +94,9 @@ def test_unit_vector_validation():
         UnitVector.normalize([0.0, 0.0])
     with pytest.raises(AttributeError):
         v.coords = np.zeros(2)
+    for bad in (np.nan, np.inf):  # a NaN norm is not within tolerance of 1 either
+        with pytest.raises(ContractError, match="is not 1"):
+            UnitVector([bad, 0.0])
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 3), (2, 4), (3, 4)])
