@@ -8,9 +8,6 @@ coefficients, every term positive, summed exactly in log space. Only the
 tail probability integrates the density: with t = sin(theta) the integrand
 becomes cos(theta)^(n-2) on [-pi/2, pi/2], which removes the n = 2
 endpoint singularity, and a composite Gauss-Legendre rule does the rest.
-
-scipy is imported inside the functions that call it, so sampling and the
-experiments run on numpy alone.
 """
 
 from __future__ import annotations
@@ -43,6 +40,7 @@ from .errors import (
 )
 from .spectra import eigvals_sym, ks_distance
 from .tensors import DEFAULT_ENTRY_BUDGET, _as_array, frobenius, operator_norm_lb
+from .thresholds import _brent_root
 
 _LOG_TOL_1D = 1e-10
 _SERIES_BLOCK = 1024
@@ -51,6 +49,16 @@ _SERIES_MAX_INDEX = 2.0**52
 _LOG_SERIES_DROP = -40.0
 _LR_BLOCK_ENTRIES = 1 << 14
 _TV_VACUOUS = "vacuous"
+_STIRLING_FROM = 100.0
+# the 16-point Gauss-Legendre rule on [-1, 1]: the positive nodes and their weights
+_GL16_X = (
+    0.09501250983763745, 0.2816035507792589, 0.4580167776572274, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+)
+_GL16_W = (
+    0.1894506104550681, 0.18260341504492328, 0.16915651939500212, 0.14959598881657638,
+    0.12462897125553363, 0.09515851168249231, 0.06225352393864763, 0.027152459411756466,
+)
 
 
 def log_cn(n: int) -> float:
@@ -79,10 +87,23 @@ def first_coord_log_density(t: float, n: int) -> float:
 
 @functools.cache
 def _gl16() -> tuple[np.ndarray, np.ndarray]:
-    """The 16-point Gauss-Legendre nodes and weights on [-1, 1]."""
-    from scipy.special import roots_legendre
+    """The 16-point Gauss-Legendre nodes (ascending) and weights on [-1, 1]."""
+    x, w = np.array(_GL16_X), np.array(_GL16_W)
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
-    return roots_legendre(16)
+
+def _logsumexp(v: np.ndarray) -> float:
+    """log sum exp(v), in the steps of scipy.special.logsumexp.
+
+    The sum is shifted by the maximum; the terms at the maximum are counted
+    apart, and the rest enter through log1p.
+    """
+    top = v.max()
+    at_top = v == top
+    count = np.count_nonzero(at_top)
+    rest = np.exp(v - top)
+    rest[at_top] = 0.0
+    return float(np.log1p(rest.sum() / count) + np.log(count) + top)
 
 
 def _log_cos(theta):
@@ -115,8 +136,6 @@ def first_coord_tail_logprob(a: float, n: int) -> float:
     lo, hi = math.asin(a), math.pi / 2.0
     if n > 3:
         hi = min(hi, math.acos(math.cos(lo) * math.exp(-140.0 / (n - 2))))
-    from scipy.special import logsumexp
-
     half = 0.5 * (hi - lo)
     lc, log_half = log_cn(n), math.log(half)
     gl_x, gl_w = _gl16()
@@ -126,7 +145,7 @@ def first_coord_tail_logprob(a: float, n: int) -> float:
         x = ((2.0 * np.arange(panels) + 1.0)[:, None] + gl_x).ravel() / panels - 1.0
         theta = 0.5 * (hi + lo) + half * x
         log_w = np.tile(np.log(gl_w / panels), panels)
-        cur = float(logsumexp(lc + (n - 2) * _log_cos(theta) + log_w)) + log_half
+        cur = _logsumexp(lc + (n - 2) * _log_cos(theta) + log_w) + log_half
         if prev is not None:
             err = abs(cur - prev)
             if err <= _LOG_TOL_1D * max(1.0, abs(cur)):
@@ -171,19 +190,38 @@ def _implied_tv(log_sm: float):
     return bound if bound < 1.0 else _TV_VACUOUS
 
 
-def _log_rising_excess(g: float, m: np.ndarray) -> np.ndarray:
-    """log (g)_m - m log g, with a rounding error that grows with m, not with g.
+@functools.lru_cache(maxsize=256)
+def _rising_head(g: float) -> tuple[int, np.ndarray, float]:
+    """a = ceil(100 - g), log (g)_j - j log g for j = 0..a, and log1p(a/g).
 
-    The gammaln difference loses about eps g log g (3e-7 at g = 5e8), so
+    The head is the log of a running product of the factors 1 + j/g, so it
+    is off by at most 3 a u (3e-14, u = 2^-53) plus the rounding of the log,
+    where a running sum of log factors would collect the rounding of every
+    partial sum.
+    """
+    a = math.ceil(_STIRLING_FROM - g)
+    head = np.log(np.concatenate(([1.0], np.cumprod(1.0 + np.arange(a) / g))))
+    head.flags.writeable = False
+    return a, head, math.log1p(a / g)
+
+
+def _log_rising_excess(g: float, m: np.ndarray) -> np.ndarray:
+    """log (g)_m - m log g at ascending integers m; its rounding grows with m, not with g.
+
+    A log-gamma difference loses about eps g log g (3e-7 at g = 5e8), so
     from g = 100 on the Stirling series of both log-gammas is subtracted in
     closed form: (g + m - 1/2) log1p(m/g) - m plus the difference of the
     1/(12x) - 1/(360x^3) + 1/(1260x^5) corrections, whose truncation stays
-    below 1e-17 there.
+    below 1e-17 there. Below 100, g is lifted past it by (g)_m = (g)_a
+    (g + a)_(m - a), a = ceil(100 - g): the first a terms come from
+    ``_rising_head`` and the rest add the Stirling form at g + a.
     """
-    if g < 100.0:
-        from scipy.special import gammaln
-
-        return gammaln(g + m) - gammaln(g) - m * math.log(g)
+    if g < _STIRLING_FROM:
+        a, head, log_lift = _rising_head(g)
+        cut = int(np.searchsorted(m, a))
+        rest = m[cut:] - a
+        lifted = head[a] + rest * log_lift + _log_rising_excess(g + a, rest)
+        return np.concatenate((head[m[:cut].astype(np.intp)], lifted)) if cut else lifted
 
     def corr(x):
         return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * x * x)) / (x * x)) / x
@@ -210,8 +248,6 @@ def _log_series(log_x: float, pos, neg) -> tuple[float, float, int]:
     Returns the log sum, a bound on the relative mass left out, and the
     number of terms summed.
     """
-    from scipy.optimize import brentq
-
     net = Counter(pos)
     net.subtract(neg)
     par = [(v, c) for v, c in net.items() if c]
@@ -233,7 +269,7 @@ def _log_series(log_x: float, pos, neg) -> tuple[float, float, int]:
     if ups and max(ups) >= min(downs):
         head = peak = math.ceil(settle)
     else:
-        head, peak = 0, brentq(d_rho, 0.0, settle + 1.0) if d_rho(0.0) > 0.0 else 0.0
+        head, peak = 0, _brent_root(d_rho, 0.0, settle + 1.0) if d_rho(0.0) > 0.0 else 0.0
     mode = head
     if rho(peak) > 0.0:
         far = 2.0 * peak + 1.0
@@ -241,7 +277,7 @@ def _log_series(log_x: float, pos, neg) -> tuple[float, float, int]:
             far *= 2.0
             if far > _SERIES_MAX_INDEX:
                 raise NumericalFailure(f"the series peaks beyond term {_SERIES_MAX_INDEX:.3g}")
-        mode = max(head, math.ceil(brentq(rho, peak, far)))
+        mode = max(head, math.ceil(_brent_root(rho, peak, far)))
 
     top, rest, nodes = -math.inf, 0.0, 0  # the sum so far is exp(top) * (1 + rest)
 

@@ -14,7 +14,7 @@ _SYMMETRY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues in descending order."""
+    """Finite eigenvalues in descending order."""
 
     eigenvalues: np.ndarray
 
@@ -22,6 +22,8 @@ class Spectrum:
         arr = np.asarray(self.eigenvalues, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ContractError("a spectrum is a nonempty 1-d array")
+        if not np.all(np.isfinite(arr)):  # a NaN would also pass the order check
+            raise ContractError("eigenvalues must be finite")
         if np.any(np.diff(arr) > 0):
             raise ContractError("eigenvalues must be in descending order")
         object.__setattr__(self, "eigenvalues", arr)
@@ -61,11 +63,13 @@ def eigvals_sym(x) -> Spectrum:
 
 
 def ks_distance(a, b) -> float:
-    """Sup-norm distance between the empirical CDFs of two samples."""
+    """Sup-norm distance between the empirical CDFs of two samples, which must not hold NaN."""
     xa = np.sort(np.asarray(a, dtype=np.float64).reshape(-1))
     xb = np.sort(np.asarray(b, dtype=np.float64).reshape(-1))
     if xa.size == 0 or xb.size == 0:
         raise ContractError("ks_distance needs nonempty samples")
+    if np.isnan(xa[-1]) or np.isnan(xb[-1]):  # sorting puts any NaN last
+        raise ContractError("ks_distance samples must not contain NaN")
     pooled = np.concatenate([xa, xb])
     fa = np.searchsorted(xa, pooled, side="right") / xa.size
     fb = np.searchsorted(xb, pooled, side="right") / xb.size
@@ -73,8 +77,10 @@ def ks_distance(a, b) -> float:
 
 
 def semicircle_ref(x):
-    """Semicircle density (1/2pi) sqrt(4 - x^2) on [-2, 2], zero outside."""
+    """Semicircle density (1/2pi) sqrt(4 - x^2) on [-2, 2], zero outside; NaN is refused."""
     arr = np.asarray(x, dtype=np.float64)
+    if np.any(np.isnan(arr)):
+        raise ContractError("semicircle_ref is undefined at NaN")
     out = np.zeros_like(arr)
     inside = np.abs(arr) <= 2.0
     out[inside] = np.sqrt(4.0 - arr[inside] ** 2) / (2.0 * np.pi)

@@ -9,9 +9,6 @@ golden-section refinement. The asymmetric threshold is lambda_k =
 sqrt(k/2) * beta_k. Internally the objective is minimized in log form,
 log(-log1p(-q^2)) - k log q, which is stable over the whole open interval
 (no underflow of q^k for large k, no cancellation near q = 0).
-
-scipy is imported inside the functions that call it, so importing this
-module (and the CLI) loads numpy alone.
 """
 
 from __future__ import annotations
@@ -21,13 +18,68 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError, _check_count, _check_order, _check_strength
+from .errors import ContractError, NumericalFailure, _check_order, _check_strength
 
 _Q_LO = 1e-10
 _Q_HI = 1.0 - 1e-12
 _GRID_POINTS = 10**4
 _BRACKET_TOL = 1e-10
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _brent_root(
+    f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4 * math.ulp(1.0), iters: int = 100
+) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's method.
+
+    A step-for-step port of scipy.optimize.brentq (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4), so it returns the same
+    float after the same evaluations: ``xcur`` is the best estimate, ``xblk``
+    the other end of the bracket and ``xpre`` the previous estimate; each
+    step interpolates (secant, or inverse quadratic through all three) when
+    that shrinks the bracket fast enough, and bisects otherwise. It stops
+    when the bracket is below xtol + rtol |x| and raises NumericalFailure
+    after ``iters`` steps.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NumericalFailure(f"f({xpre!r}) and f({xcur!r}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(iters):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (xtol + rtol * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless an interpolation step is tried and accepted
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # the C loop gets an infinite or NaN step here and bisects
+                pass
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = float(f(xcur))
+    raise NumericalFailure(f"Brent's method did not converge in {iters} steps", partial={"x": xcur})
 
 
 @dataclass(frozen=True)
@@ -184,78 +236,8 @@ def g_lambda_critical(lam: float, k: int) -> list[CriticalPoint]:
     elif peak <= 0.0:
         roots = []
     else:  # at k = 2 the lower side (0, q_m) is empty
-        from scipy.optimize import brentq
-
-        roots = [float(brentq(phi, a, b, xtol=1e-14)) for a, b in ((0.0, q_m), (q_m, 1.0)) if a < b]
+        roots = [_brent_root(phi, a, b, xtol=1e-14) for a, b in ((0.0, q_m), (q_m, 1.0)) if a < b]
     return [CriticalPoint(q=q, value=g_lambda([q] * k, lam)) for q in roots]
-
-
-@dataclass(frozen=True)
-class AscentSummary:
-    """Outcome of multistart maximization of the asymmetric objective.
-
-    ``argmax_abs`` holds |q_i| of the best run (the objective is invariant
-    under sign flips that preserve the product, so runs are compared after
-    taking absolute values). ``coordinate_spread`` is the largest range of
-    any |q_i| across all runs: near zero it certifies that every start
-    found the same maximizer.
-    """
-
-    value: float
-    argmax_abs: tuple[float, ...]
-    coordinate_spread: float
-    n_starts: int
-    converged: int
-
-
-def g_lambda_max(lam: float, k: int, n_starts: int = 100, seed: int = 0) -> AscentSummary:
-    """Maximize the asymmetric variational function from random starts.
-
-    Runs L-BFGS-B with the analytic gradient from ``n_starts`` uniform
-    points in (-0.99, 0.99)^k. Below the fold strength the only stationary
-    point is the origin and every run collapses onto it.
-    """
-    from scipy.optimize import minimize
-
-    k = _check_order(k)
-    _check_strength(lam, "lambda")
-    n_starts = _check_count(n_starts, "n_starts", 1)
-    lam2 = lam * lam
-
-    def neg_value(q):
-        return -(lam2 * np.prod(q) + 0.5 * np.sum(np.log1p(-(q**2))))
-
-    def neg_grad(q):
-        others = np.array([np.prod(np.delete(q, i)) for i in range(k)])
-        return -(lam2 * others - q / (1.0 - q**2))
-
-    rng = np.random.default_rng(seed)
-    bounds = [(-1.0 + 1e-9, 1.0 - 1e-9)] * k
-    endpoints = np.empty((n_starts, k))
-    values = np.empty(n_starts)
-    converged = 0
-    for i in range(n_starts):
-        x0 = rng.uniform(-0.99, 0.99, size=k)
-        res = minimize(
-            neg_value,
-            x0,
-            jac=neg_grad,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"ftol": 1e-18, "gtol": 1e-12, "maxiter": 1000},
-        )
-        endpoints[i] = np.abs(res.x)
-        values[i] = -res.fun
-        converged += bool(res.success)
-    best = int(np.argmax(values))
-    spread = float(np.max(endpoints.max(axis=0) - endpoints.min(axis=0)))
-    return AscentSummary(
-        value=float(values[best]),
-        argmax_abs=tuple(float(v) for v in endpoints[best]),
-        coordinate_spread=spread,
-        n_starts=n_starts,
-        converged=converged,
-    )
 
 
 def sphere_rate(a: float) -> RateFunctionPoint:

@@ -5,15 +5,20 @@ come from exact rational Sturm-chain bisection on the characteristic
 polynomial, symmetrization from explicit permutation loops, tail
 probabilities from the regularized incomplete beta function. Symmetric
 samples are composed from whole-array steps, one n^k array per step, to
-pin the samplers bit for bit.
+pin the samplers bit for bit. The maximum of the asymmetric variational
+function comes from multistart L-BFGS-B, against the Brent roots of
+``g_lambda_critical``, and scipy's own ``brentq`` pins the port of it.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
 import sympy as sp
+
+from spiked_lab.errors import _check_count, _check_order, _check_strength
 
 
 def eigvals_sturm(matrix: np.ndarray, iters: int = 55) -> np.ndarray:
@@ -193,3 +198,88 @@ def asym_moment_series(lam: float, n: int, k: int, terms: int = 400) -> float:
             if term < total * mp.mpf("1e-40") and 2 * c**2 <= (n + 2 * i) ** 2:
                 return float(mp.log(total))
         raise RuntimeError(f"series did not converge within {terms} terms")
+
+
+def pinned_to_brentq(root, brackets: list):
+    """``root`` with each result asserted equal, as a float, to scipy.optimize.brentq's.
+
+    Every bracket it is called on is appended to ``brackets``.
+    """
+    from scipy.optimize import brentq
+
+    def checked(f, a, b, **kw):
+        got = root(f, a, b, **kw)
+        want = brentq(f, a, b, **kw)
+        assert got == want, f"bracket ({a!r}, {b!r}) {kw}: {got!r} != brentq's {want!r}"
+        brackets.append((a, b))
+        return got
+
+    return checked
+
+
+@dataclass(frozen=True)
+class AscentSummary:
+    """Outcome of multistart maximization of the asymmetric objective.
+
+    ``argmax_abs`` holds |q_i| of the best run (the objective is invariant
+    under sign flips that preserve the product, so runs are compared after
+    taking absolute values). ``coordinate_spread`` is the largest range of
+    any |q_i| across all runs: near zero it certifies that every start
+    found the same maximizer.
+    """
+
+    value: float
+    argmax_abs: tuple[float, ...]
+    coordinate_spread: float
+    n_starts: int
+    converged: int
+
+
+def g_lambda_max(lam: float, k: int, n_starts: int = 100, seed: int = 0) -> AscentSummary:
+    """Maximize the asymmetric variational function from random starts.
+
+    Runs L-BFGS-B with the analytic gradient from ``n_starts`` uniform
+    points in (-0.99, 0.99)^k. Below the fold strength the only stationary
+    point is the origin and every run collapses onto it.
+    """
+    from scipy.optimize import minimize
+
+    k = _check_order(k)
+    _check_strength(lam, "lambda")
+    n_starts = _check_count(n_starts, "n_starts", 1)
+    lam2 = lam * lam
+
+    def neg_value(q):
+        return -(lam2 * np.prod(q) + 0.5 * np.sum(np.log1p(-(q**2))))
+
+    def neg_grad(q):
+        others = np.array([np.prod(np.delete(q, i)) for i in range(k)])
+        return -(lam2 * others - q / (1.0 - q**2))
+
+    rng = np.random.default_rng(seed)
+    bounds = [(-1.0 + 1e-9, 1.0 - 1e-9)] * k
+    endpoints = np.empty((n_starts, k))
+    values = np.empty(n_starts)
+    converged = 0
+    for i in range(n_starts):
+        x0 = rng.uniform(-0.99, 0.99, size=k)
+        res = minimize(
+            neg_value,
+            x0,
+            jac=neg_grad,
+            method="L-BFGS-B",
+            bounds=bounds,
+            options={"ftol": 1e-18, "gtol": 1e-12, "maxiter": 1000},
+        )
+        endpoints[i] = np.abs(res.x)
+        values[i] = -res.fun
+        converged += bool(res.success)
+    best = int(np.argmax(values))
+    spread = float(np.max(endpoints.max(axis=0) - endpoints.min(axis=0)))
+    return AscentSummary(
+        value=float(values[best]),
+        argmax_abs=tuple(float(v) for v in endpoints[best]),
+        coordinate_spread=spread,
+        n_starts=n_starts,
+        converged=converged,
+    )

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import _oracles
+from _oracles import g_lambda_max
 from spiked_lab.ensembles import (
     EnsembleSpec,
     batch_statistics,
@@ -29,7 +30,7 @@ from spiked_lab.inference import (
 )
 from spiked_lab.spectra import eigvals_sym, ks_distance
 from spiked_lab.tensors import DenseTensor, symmetrize
-from spiked_lab.thresholds import beta_star, g_lambda_max, lambda_star, sphere_rate
+from spiked_lab.thresholds import beta_star, lambda_star, sphere_rate
 
 THRESHOLD_TABLE = {
     2: 1.0,

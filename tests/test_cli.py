@@ -434,9 +434,7 @@ def test_cli_binds_the_default_worker_count(monkeypatch):
     assert cli._threads_default() == max(1, os.cpu_count() or 1)
 
 
-# --- scipy only where it is called -------------------------------------------
-
-_SCIPY_HEAVY = ("scipy.optimize", "scipy.special", "scipy.linalg")
+# --- no command loads scipy ----------------------------------------------------
 
 _SMALL_EXPERIMENTS = (
     {
@@ -466,22 +464,24 @@ _SMALL_EXPERIMENTS = (
     },
 )
 
-# thresholds, second moments and tail rates: the payloads must not depend on when scipy loads
+# thresholds, second moments and tail rates: the payloads must not depend on what loaded first
 _THEORY_CALLS = (
     ("threshold", "--k", "3"),
     ("second-moment", "--model", "sym", "--k", "3", "--n", "1000", "--strength", "0.5"),
     ("second-moment", "--model", "asym", "--k", "2", "--n", "50", "--strength", "0.8"),
+    ("second-moment", "--model", "asym", "--k", "3", "--n", "1000", "--strength", "0.8"),
+    ("second-moment", "--model", "asym", "--k", "4", "--n", "50", "--strength", "1.0"),
     ("rate", "--a", "0.3", "--n", "2000"),
 )
 
 _FRESH_INTERPRETER = """
 import contextlib, io, json, sys
 
-heavy, numpy_calls, theory_calls = json.loads(sys.argv[1])
+numpy_calls, theory_calls = json.loads(sys.argv[1])
 
 
 def loaded():
-    return [name for name in heavy if name in sys.modules]
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 
 
 def run(argv):
@@ -498,12 +498,13 @@ for argv in numpy_calls:
     run(argv)
 report["after_numpy_calls"] = loaded()
 report["payloads"] = [json.loads(run(argv)) for argv in theory_calls]
+report["after_theory_calls"] = loaded()
 print(json.dumps(report))
 """
 
 
 def test_sampling_and_experiments_never_load_scipy(capsys):
-    """A fresh interpreter: the import and the numpy-only commands leave scipy's heavy modules out."""
+    """A fresh interpreter: the import and every command, theory ones included, leave scipy unloaded."""
     numpy_calls = [
         ["threshold", "--k", "3"],
         ["sample", "--spec", '{"model": "sym_spiked", "n": 3, "k": 3, "strength": 1.0}'],
@@ -513,7 +514,7 @@ def test_sampling_and_experiments_never_load_scipy(capsys):
         ["experiment", "--threads", "1", "--spec", json.dumps({**spec, "trials": 2, "seed": 1})]
         for spec in _SMALL_EXPERIMENTS
     ]
-    config = json.dumps([_SCIPY_HEAVY, numpy_calls, _THEORY_CALLS])
+    config = json.dumps([numpy_calls, _THEORY_CALLS])
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -527,6 +528,7 @@ def test_sampling_and_experiments_never_load_scipy(capsys):
     report = json.loads(proc.stdout)
     assert report["after_import"] == []
     assert report["after_numpy_calls"] == []
+    assert report["after_theory_calls"] == []
     for argv, payload in zip(_THEORY_CALLS, report["payloads"], strict=True):
         assert _without_meta(payload) == _without_meta(run_json(capsys, *argv)), argv
 

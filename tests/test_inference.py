@@ -10,6 +10,7 @@ from scipy.special import betaln, hyp0f1, logsumexp
 from scipy.stats import norm
 
 import _oracles
+from spiked_lab import inference
 from spiked_lab.ensembles import (
     STREAM_SAMPLE,
     EnsembleSpec,
@@ -23,8 +24,11 @@ from spiked_lab.errors import ConfigError, ContractError, NumericalFailure, Sizi
 from spiked_lab.inference import (
     _LR_BLOCK_ENTRIES,
     ExperimentSpec,
+    _brent_root,
     _check_order,
+    _gl16,
     _implied_tv,
+    _log_rising_excess,
     _log_series,
     first_coord_log_density,
     first_coord_tail_logprob,
@@ -119,6 +123,14 @@ def test_tail_complement_identity():
 def test_tail_is_monotone_decreasing(n, a, b):
     lo, hi = min(a, b), max(a, b)
     assert first_coord_tail_logprob(lo, n) >= first_coord_tail_logprob(hi, n)
+
+
+def test_gl16_literals_equal_scipy_roots_legendre():
+    from scipy.special import roots_legendre
+
+    got, want = _gl16(), roots_legendre(16)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("n,lo,hi", [(39, -0.96875, -0.9375), (4, -1.0810644521721723e-113, 0.0)])
@@ -344,6 +356,56 @@ def test_second_moment_asym_far_supercritical_k3():
     r = second_moment_asym(3.0, 20000, 3)
     assert r.log_second_moment == pytest.approx(84990.8608375, rel=1e-9)
     assert r.quadrature_error < 1e-15
+
+
+# the second-moment calls of the perfbench ``moments`` workload
+_MOMENTS_CALLS = (
+    [("sym", 3, n, b) for n in (1000, 10000, 100000) for b in (0.5, 1.0, 1.3)]
+    + [("asym", 2, 1000, lam) for lam in (0.5, 0.8, 0.95)]
+    + [("asym", 3, 1000, 0.8), ("asym", 4, 50, 1.0)]
+)
+
+
+def test_series_roots_equal_brentq_on_the_moments_brackets(monkeypatch):
+    """Each root the series finds is the float scipy.optimize.brentq returns on the same bracket."""
+    brackets = []
+    monkeypatch.setattr(inference, "_brent_root", _oracles.pinned_to_brentq(_brent_root, brackets))
+    for model, k, n, strength in _MOMENTS_CALLS:
+        (second_moment_sym if model == "sym" else second_moment_asym)(strength, n, k)
+    assert len(brackets) >= len(_MOMENTS_CALLS)
+
+
+@pytest.mark.parametrize("g", [1 / 6, 1 / 2, 5 / 6, 1.0, 25.0, 99.5])
+def test_log_rising_excess_below_100_matches_mpmath(g):
+    """log (g)_m - m log g against 40-digit loggamma, within its rounding bound.
+
+    With u = 2^-53 and a = ceil(100 - g):
+    * m <= a: a running product of m factors 1 + j/g, each rounded twice,
+      is off by at most 3 m u relative, so its log is off by 3 m u plus the
+      rounding of the log, 2 u |v|.
+    * m > a: v = H + (m - a) L + S, with H the head at a, L = log1p(a/g)
+      and S the Stirling form at g + a, all three >= 0 and so <= v. H is
+      off by 3 a u + 2 u H, (m - a) L by (m - a) u + 3 u (m - a) L, and
+      S's product P = (x - 1/2) log1p((m - a)/(g + a)), P <= v + m, by
+      5 u P + u x, x = g + m; rounding g + a moves S by at most u m. With
+      the three sums the total stays below u (3 a + g + 8 m + 16 |v|).
+    """
+    import mpmath as mp
+
+    u = 2.0**-53
+    a = math.ceil(100.0 - g)
+    m = np.unique(np.concatenate([np.arange(0.0, 301.0), np.round(np.geomspace(301.0, 1e6, 120))]))
+    got = _log_rising_excess(g, m)
+    with mp.workdps(40):
+        gm = mp.mpf(g)
+        for mi, v in zip(m.tolist(), got.tolist()):
+            j = int(mi)
+            err = abs(mp.mpf(v) - (mp.loggamma(gm + j) - mp.loggamma(gm) - j * mp.log(gm)))
+            if j <= a:
+                bound = u * (3 * j + 2 * abs(v))
+            else:
+                bound = u * (3 * a + g + 8 * j + 16 * abs(v))
+            assert err <= bound, (j, float(err), bound)
 
 
 def test_second_moment_series_sums_bounded_windows():

@@ -65,6 +65,14 @@ def test_ks_distance_extremes():
     assert ks_distance(a, a + 10.0) == 1.0
 
 
+def test_ks_distance_rejects_nan():
+    """A NaN would sort last and count as a value."""
+    with pytest.raises(ContractError, match="NaN"):
+        ks_distance([np.nan, 0.0], [0.0, 1.0])
+    with pytest.raises(ContractError, match="NaN"):
+        ks_distance([0.0, 1.0], np.array([[0.5, np.nan]]))
+
+
 def test_ks_distance_matches_scipy():
     rng = np.random.default_rng(10)
     a = rng.standard_normal(301)
@@ -94,6 +102,14 @@ def test_semicircle_density_normalizes():
     assert arr[0] == arr[2] == 0.0
 
 
+def test_semicircle_rejects_nan():
+    with pytest.raises(ContractError, match="NaN"):
+        semicircle_ref(np.nan)
+    with pytest.raises(ContractError, match="NaN"):
+        semicircle_ref(np.array([0.0, np.nan]))
+    assert semicircle_ref(np.inf) == 0.0
+
+
 def test_goe_bulk_close_to_semicircle():
     """Eigenvalue histogram of one big GOE draw against the limit density."""
     x = sample_goe(500, trial_rng(77, 0))
@@ -106,3 +122,10 @@ def test_goe_bulk_close_to_semicircle():
 def test_spectrum_validates_order():
     with pytest.raises(ContractError):
         Spectrum(eigenvalues=np.array([1.0, 2.0]))
+
+
+def test_spectrum_rejects_non_finite():
+    """NaN makes the descending check np.diff(arr) > 0 False, so it is refused on its own."""
+    for bad in ([np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0]):
+        with pytest.raises(ContractError, match="finite"):
+            Spectrum(eigenvalues=np.array(bad))

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spiked_lab.errors import ContractError
+from _oracles import g_lambda_max, pinned_to_brentq
+from spiked_lab import thresholds
+from spiked_lab.errors import ContractError, NumericalFailure
 from spiked_lab.thresholds import (
+    _brent_root,
     beta_star,
     beta_star_asymptotic,
     f_beta,
     g_lambda,
     g_lambda_critical,
-    g_lambda_max,
     lambda_star,
     sphere_rate,
 )
@@ -209,6 +211,27 @@ def test_g_lambda_critical_roots_are_stationary(k, lam):
         rhs = q / (1.0 - q * q)
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
         assert root.value == pytest.approx(g_lambda((q,) * k, lam), rel=1e-12)
+
+
+def test_g_lambda_critical_roots_equal_brentq(monkeypatch):
+    """Each Brent root is the float scipy.optimize.brentq returns on the same bracket."""
+    brackets = []
+    monkeypatch.setattr(thresholds, "_brent_root", pinned_to_brentq(_brent_root, brackets))
+    for k in (2, 3, 4, 5, 6, 10):
+        for lam in np.linspace(0.5, 4.0, 36):
+            g_lambda_critical(float(lam), k)
+    assert len(brackets) > 150
+
+
+def test_brent_root_gives_up_at_its_iteration_cap():
+    def f(x):
+        return x**5 - 0.3
+
+    assert _brent_root(f, 0.0, 1.0) == pytest.approx(0.3**0.2, abs=1e-11)
+    with pytest.raises(NumericalFailure, match="did not converge in 3 steps"):
+        _brent_root(f, 0.0, 1.0, iters=3)
+    with pytest.raises(NumericalFailure, match="same sign"):
+        _brent_root(f, 0.9, 1.0)
 
 
 # --- multistart ascent -------------------------------------------------------
