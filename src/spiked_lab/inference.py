@@ -4,10 +4,9 @@ The overlap T of a uniform unit vector with any fixed direction has density
 proportional to (1 - t^2)^((n-3)/2) on [-1, 1] and even moments
 E T^(2m) = (1/2)_m / (n/2)_m. The second moments of the likelihood ratio
 are power series in the signal strength with these moments in their
-coefficients, every term positive, summed exactly in log space. Only the
-tail probability integrates the density: with t = sin(theta) the integrand
-becomes cos(theta)^(n-2) on [-pi/2, pi/2], which removes the n = 2
-endpoint singularity, and a composite Gauss-Legendre rule does the rest.
+coefficients, every term positive, summed exactly in log space. T^2 is
+Beta(1/2, (n-1)/2), so the tail probability is a regularized incomplete
+beta function, evaluated by its continued fraction.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .spectra import eigvals_sym, ks_distance
 from .tensors import DEFAULT_ENTRY_BUDGET, _as_array, frobenius, operator_norm_lb
 from .thresholds import _brent_root
 
-_LOG_TOL_1D = 1e-10
 _SERIES_BLOCK = 1024
 _SERIES_MAX_TERMS = 1 << 22
 _SERIES_MAX_INDEX = 2.0**52
@@ -50,21 +48,21 @@ _LOG_SERIES_DROP = -40.0
 _LR_BLOCK_ENTRIES = 1 << 14
 _TV_VACUOUS = "vacuous"
 _STIRLING_FROM = 100.0
-# the 16-point Gauss-Legendre rule on [-1, 1]: the positive nodes and their weights
-_GL16_X = (
-    0.09501250983763745, 0.2816035507792589, 0.4580167776572274, 0.6178762444026438,
-    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
-)
-_GL16_W = (
-    0.1894506104550681, 0.18260341504492328, 0.16915651939500212, 0.14959598881657638,
-    0.12462897125553363, 0.09515851168249231, 0.06225352393864763, 0.027152459411756466,
-)
 
 
 def log_cn(n: int) -> float:
-    """Log normalizer of the first-coordinate density on the unit sphere."""
+    """Log normalizer of the first-coordinate density on the unit sphere, -log B(1/2, (n-1)/2).
+
+    A difference of log-gammas at g = (n - 1)/2 would lose about eps g log g
+    (19.8 at n = 1e18). From g = 100 on, log (g)_(1/2) is (1/2) log g plus
+    ``_log_rising_excess(g, 1/2)``; below, the ratio of gammas (each below
+    1e156) keeps the error under 1e-15.
+    """
     n = _check_count(n, "dimension n", 2)
-    return math.lgamma(n / 2.0) - 0.5 * math.log(math.pi) - math.lgamma((n - 1) / 2.0)
+    g = (n - 1) / 2.0
+    if g >= _STIRLING_FROM:
+        return 0.5 * math.log(g) + float(_log_rising_excess(g, 0.5)) - 0.5 * math.log(math.pi)
+    return math.log(math.gamma(n / 2.0) / math.gamma(g)) - 0.5 * math.log(math.pi)
 
 
 def first_coord_log_density(t: float, n: int) -> float:
@@ -85,44 +83,44 @@ def first_coord_log_density(t: float, n: int) -> float:
     return log_cn(n) + 0.5 * (n - 3) * math.log1p(-(t * t))
 
 
-@functools.cache
-def _gl16() -> tuple[np.ndarray, np.ndarray]:
-    """The 16-point Gauss-Legendre nodes (ascending) and weights on [-1, 1]."""
-    x, w = np.array(_GL16_X), np.array(_GL16_W)
-    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+def _beta_cf(p: float, q: float, x: float) -> float:
+    """h in I_x(p, q) = x^p (1 - x)^q h / (p B(p, q)), fast for x < (p + 1)/(p + q + 2).
 
-
-def _logsumexp(v: np.ndarray) -> float:
-    """log sum exp(v), in the steps of scipy.special.logsumexp.
-
-    The sum is shifted by the maximum; the terms at the maximum are counted
-    apart, and the rest enter through log1p.
+    h = 1/(1 + d_1/(1 + d_2/(1 + ...))), d_(2m+1) = -(p + m)(p + q + m) x /
+    ((p + 2m)(p + 2m + 1)), d_(2m) = m (q - m) x / ((p + 2m - 1)(p + 2m))
+    (DLMF 8.17.22), by the modified Lentz method (Thompson and Barnett 1986).
+    The stop rule allows a few ulp: near p = 1e30 the factors never settle closer to 1.
     """
-    top = v.max()
-    at_top = v == top
-    count = np.count_nonzero(at_top)
-    rest = np.exp(v - top)
-    rest[at_top] = 0.0
-    return float(np.log1p(rest.sum() / count) + np.log(count) + top)
-
-
-def _log_cos(theta):
-    # log1p keeps log cos accurate near theta = 0, where the factor n - 2 magnifies its error
-    return 0.5 * np.log1p(-np.sin(theta) ** 2)
+    f, c, d = 1.0, 1.0, 0.0
+    for m in range(10000):
+        for num in (  # as ratios, which stay finite where p^2 would overflow
+            -(p + m) / (p + 2 * m) * (p + q + m) / (p + 2 * m + 1) * x,
+            (m + 1) * (q - m - 1) / (p + 2 * m + 1) / (p + 2 * m + 2) * x,
+        ):
+            d = 1.0 / ((1.0 + num * d) or 1e-300)
+            c = (1.0 + num / c) or 1e-300
+            f *= c * d
+        if abs(c * d - 1.0) <= 1e-15:
+            return 1.0 / f
+    raise NumericalFailure(f"the incomplete beta fraction did not converge at p={p!r}, x={x!r}")
 
 
 def first_coord_tail_logprob(a: float, n: int) -> float:
-    """log P(first coordinate >= a), by log-space composite Gauss-Legendre in theta.
+    """log P(first coordinate >= a), the log of (1/2) I_x(p, 1/2), x = 1 - a^2, p = (n - 1)/2.
 
-    The integrand cos(theta)^(n-2) decays geometrically away from its
-    maximum, so the interval is first cut where the log integrand has
-    fallen by 140 (a relative exp(-140) truncation). A node count m splits
-    the interval into m/16 panels with the 16-point rule on each; m is
-    doubled from 128 to 4096 until the log value moves by less than
-    1e-10 * max(1, |value|): an absolute 1e-10 is below the rounding of a
-    log of size 1e6.
-    For a >= 0 the value is capped at the exact bound log(1/2) and negative
-    a goes through the complement, which keeps the result monotone in a.
+    T^2 is Beta(1/2, p), so for a > 0 the tail is (1/2) P(T^2 >= a^2). Its
+    log is the log of the prefactor x^p a / (p B(p, 1/2)), with
+    -log B(1/2, p) = ``log_cn(n)``, plus the log of the continued fraction
+    ``_beta_cf``. That fraction converges fast only for x < (p + 1)/(p + 5/2),
+    so where a^2 (p + 5/2) < 3/2 the value is log1p(-I_(a^2)(1/2, p)) - log 2
+    instead, whose fraction sees a^2 itself. The direct fraction sees x
+    rounded to a double and its recurrence magnifies rounding about p-fold: the
+    absolute error of the log grows like n * 1e-16 at worst, just past the
+    switch (1e-8 at n = 1e8, 4e-5 at 1e12, 5e-2 at 1e15), and where 1 - a^2
+    rounds to 1 there it raises NumericalFailure. a = 0 gives log(1/2)
+    exactly, and negative a goes through the complement. The result falls
+    with a on a grid of 2001 points; between doubles a few ulp apart
+    rounding can make it rise, by less than 1e-14 of its size.
     """
     n = _check_count(n, "dimension n", 2)
     if not math.isfinite(a) or abs(a) > 1.0:
@@ -133,28 +131,21 @@ def first_coord_tail_logprob(a: float, n: int) -> float:
         return 0.0
     if a < 0.0:
         return math.log1p(-math.exp(first_coord_tail_logprob(-a, n)))
-    lo, hi = math.asin(a), math.pi / 2.0
-    if n > 3:
-        hi = min(hi, math.acos(math.cos(lo) * math.exp(-140.0 / (n - 2))))
-    half = 0.5 * (hi - lo)
-    lc, log_half = log_cn(n), math.log(half)
-    gl_x, gl_w = _gl16()
-    prev = None
-    for m in (128, 256, 512, 1024, 2048, 4096):
-        panels = m // 16
-        x = ((2.0 * np.arange(panels) + 1.0)[:, None] + gl_x).ravel() / panels - 1.0
-        theta = 0.5 * (hi + lo) + half * x
-        log_w = np.tile(np.log(gl_w / panels), panels)
-        cur = _logsumexp(lc + (n - 2) * _log_cos(theta) + log_w) + log_half
-        if prev is not None:
-            err = abs(cur - prev)
-            if err <= _LOG_TOL_1D * max(1.0, abs(cur)):
-                return min(cur, -math.log(2.0))
-        prev = cur
-    raise NumericalFailure(
-        "Gauss-Legendre quadrature did not stabilize",
-        partial={"log_value": prev, "quadrature_error": err},
-    )
+    if a == 0.0:
+        return -math.log(2.0)
+    p, a2 = 0.5 * (n - 1), a * a
+    if a2 < 0.5:
+        x, log_x = 1.0 - a2, math.log1p(-a2)
+    else:  # 1 - a is exact here, where 1 - a * a would lose the low bits of a
+        x = (1.0 - a) * (1.0 + a)
+        log_x = math.log(x)
+    log_front = p * log_x + math.log(a) + log_cn(n)
+    if a2 * (p + 2.5) < 1.5:
+        inner = math.exp(log_front + math.log(2.0)) * _beta_cf(0.5, p, a2)  # I_(a^2)(1/2, p)
+        return math.log1p(-inner) - math.log(2.0)
+    if x == 1.0:
+        raise NumericalFailure(f"1 - a^2 rounds to 1 at a={a!r}, n={n}")
+    return log_front - math.log(p) + math.log(_beta_cf(p, 0.5, x)) - math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -212,8 +203,9 @@ def _log_rising_excess(g: float, m: np.ndarray) -> np.ndarray:
     from g = 100 on the Stirling series of both log-gammas is subtracted in
     closed form: (g + m - 1/2) log1p(m/g) - m plus the difference of the
     1/(12x) - 1/(360x^3) + 1/(1260x^5) corrections, whose truncation stays
-    below 1e-17 there. Below 100, g is lifted past it by (g)_m = (g)_a
-    (g + a)_(m - a), a = ceil(100 - g): the first a terms come from
+    below 1e-17 there. That branch holds for any real m >= 0, a scalar
+    included, as ``log_cn`` uses it. Below 100, g is lifted past it by
+    (g)_m = (g)_a (g + a)_(m - a), a = ceil(100 - g): the first a terms come from
     ``_rising_head`` and the rest add the Stirling form at g + a.
     """
     if g < _STIRLING_FROM:
@@ -692,20 +684,26 @@ def _roc_curve(stats0: np.ndarray, stats1: np.ndarray) -> list:
 
 
 def _guarded(stat, name: str, hyp: int):
-    """``stat`` with a numpy overflow or invalid operation raised as a NumericalFailure.
+    """``stat`` with a non-finite value or an overflow or invalid operation as a NumericalFailure.
 
     numpy's error state is per thread, so it is set on the worker, around
-    each trial's call.
+    each trial's call. A worker stops at its first failing trial, and the
+    pool reports the failure of the lowest trial range first.
     """
 
     def run(x, *, trial, **kw):
         try:
             with np.errstate(over="raise", invalid="raise"):
-                return stat(x, trial=trial, **kw)
+                value = float(stat(x, trial=trial, **kw))
         except FloatingPointError as exc:
             raise NumericalFailure(
                 f"statistic {name!r} failed at hypothesis H{hyp}, trial {trial}: {exc}"
             ) from exc
+        if not math.isfinite(value):
+            raise NumericalFailure(
+                f"statistic {name!r} is {value!r} at hypothesis H{hyp}, trial {trial}"
+            )
+        return value
 
     return run
 
@@ -731,14 +729,6 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Experime
         )
         for hyp, ens in enumerate((spec.h0, spec.h1))
     )
-    for hyp, batch in enumerate(batches):
-        bad = np.flatnonzero(~np.isfinite(batch.values))
-        if bad.size:
-            trial = int(bad[0])
-            raise NumericalFailure(
-                f"statistic {spec.statistic!r} is {float(batch.values[trial])!r} "
-                f"at hypothesis H{hyp}, trial {trial}"
-            )
     stats0, stats1 = batches[0].values, batches[1].values
     return ExperimentResult(
         spec=spec,

@@ -150,6 +150,30 @@ def tail_prob_betainc(a: float, n: int) -> float:
     return core if a >= 0 else 1.0 - core
 
 
+def log_cn_mp(n: int) -> float:
+    """log Gamma(n/2) - log Gamma((n-1)/2) - log(pi)/2 in 60 digits, for n up to about 1e40."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        return float(mp.loggamma(mp.mpf(n) / 2) - mp.log(mp.pi) / 2 - mp.loggamma((mp.mpf(n) - 1) / 2))
+
+
+def tail_logprob_near_sqrt_n_mp(a: float, n: int) -> float:
+    """log P(first coordinate >= a) = log((1 - I_(a^2)(1/2, (n-1)/2)) / 2), for a of order 1/sqrt(n).
+
+    There the tail is of order one: the regularized incomplete beta function
+    is summed directly in 60 digits, where the quadrature of
+    ``tail_logprob_mp`` is for a far out in the tail.
+    """
+    import mpmath as mp
+
+    assert 0.0 < a < 1.0
+    with mp.workdps(60):
+        p = (mp.mpf(n) - 1) / 2
+        inner = mp.betainc(mp.mpf(0.5), p, 0, mp.mpf(a) ** 2, regularized=True)
+        return float(mp.log((1 - inner) / 2))
+
+
 def tail_logprob_mp(a: float, n: int) -> float:
     """log P(first coordinate >= a) for 0 < a < 1, safe far below double range.
 

@@ -308,6 +308,23 @@ def test_rate_tail_converges_at_large_n(capsys):
     assert logs[0] > logs[1] > logs[2]
 
 
+@pytest.mark.parametrize("a,n", [("0.3", 10**30), ("0.999999999", 10**15)])
+def test_rate_far_out_ends_in_a_value_or_one_error_line(capsys, a, n):
+    # the quadrature cut its interval to width 0 here, and ValueError: math domain error escaped main
+    code, out, err = run_cli(capsys, "rate", "--a", a, "--n", str(n))
+    assert code in (0, 2)
+    if code:
+        assert out == "" and err.count("\n") == 1
+    else:
+        assert -math.inf < json.loads(out)["log_tail_prob"] < 0.0
+
+
+def test_rate_at_a_tiny_overlap_and_huge_n(capsys):
+    # the quadrature printed -21.645 here
+    payload = run_json(capsys, "rate", "--a", "1e-9", "--n", str(10**18))
+    assert payload["log_tail_prob"] == pytest.approx(-1.84102164500926, abs=1e-9)
+
+
 def test_output_flag_writes_file(capsys, tmp_path):
     path = tmp_path / "out.json"
     code, out, _ = run_cli(capsys, "threshold", "--k", "4", "--output", str(path))
@@ -357,21 +374,31 @@ def test_module_entry_point_runs():
     assert json.loads(proc.stdout)["schema_version"] == "v1"
 
 
-def test_second_moment_curves_script_runs():
+@pytest.mark.parametrize(
+    "script,args,column,lines",
+    [
+        pytest.param("second_moment_curves.py", ["--model", "asym", "--k", "4", "--n", "50", "--steps", "3"],
+                     "method", 4, id="second_moment_curves"),
+        pytest.param("threshold_table.py", [], "beta*", 13, id="threshold_table"),
+        pytest.param("bbp_sweep.py", ["--n", "20", "--trials", "2", "--steps", "2"], "mean_top", 3, id="bbp_sweep"),
+        pytest.param("clique_power_curve.py", ["--n", "25", "--trials", "2", "--sizes", "2", "5"], "power", 3,
+                     id="clique_power_curve"),
+    ],
+)
+def test_script_runs(script, args, column, lines):
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "second_moment_curves.py"),
-         "--model", "asym", "--k", "4", "--n", "50", "--steps", "3"],
+        [sys.executable, str(root / "scripts" / script), *args],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    header = proc.stdout.splitlines()[0].split(",")
-    assert "method" in header
-    assert len(proc.stdout.splitlines()) == 4
+    out = proc.stdout.splitlines()
+    assert column in out[0].replace(",", " ").split()
+    assert len(out) == lines
 
 
 # --- one parser per process --------------------------------------------------

@@ -26,7 +26,6 @@ from spiked_lab.inference import (
     ExperimentSpec,
     _brent_root,
     _check_order,
-    _gl16,
     _implied_tv,
     _log_rising_excess,
     _log_series,
@@ -125,12 +124,58 @@ def test_tail_is_monotone_decreasing(n, a, b):
     assert first_coord_tail_logprob(lo, n) >= first_coord_tail_logprob(hi, n)
 
 
-def test_gl16_literals_equal_scipy_roots_legendre():
-    from scipy.special import roots_legendre
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 39, 59, 200, 2000, 10**5, 10**8])
+def test_tail_is_monotone_across_the_branch_switch(n):
+    """The direct fraction and the complement meet at a^2 (p + 5/2) = 3/2 without a step."""
+    switch = math.sqrt(1.5 / ((n - 1) / 2.0 + 2.5))
+    grid = np.linspace(0.5 * switch, min(1.0, 2.0 * switch), 2001)
+    logs = [first_coord_tail_logprob(float(a), n) for a in grid]
+    assert all(u >= v for u, v in zip(logs, logs[1:]))
+    if n <= 10**5:
+        below, above = (first_coord_tail_logprob(switch * (1.0 + s), n) for s in (-1e-12, 1e-12))
+        assert below == pytest.approx(above, abs=1e-10)
 
-    got, want = _gl16(), roots_legendre(16)
-    for g, w in zip(got, want, strict=True):
-        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+@pytest.mark.parametrize("n", [10**5, 10**8])
+@pytest.mark.parametrize("c", [None, 1.0, 3.0])
+def test_tail_at_large_n_matches_mpmath(n, c):
+    """a = 0.3 far out in the tail, and a = c/sqrt(n) where the tail is of order one."""
+    if c is None:
+        a, want = 0.3, _oracles.tail_logprob_mp(0.3, n)
+    else:
+        a = c / math.sqrt(n)
+        want = _oracles.tail_logprob_near_sqrt_n_mp(a, n)
+    assert first_coord_tail_logprob(a, n) == pytest.approx(want, abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [199, 10**4, 10**8, 10**12, 10**18])
+def test_log_cn_matches_mpmath(n):
+    # a difference of two log-gammas was off by 3.1e-14 at n = 199, 8.4e-12 at 1e4 and 19.8 at 1e18
+    assert log_cn(n) == pytest.approx(_oracles.log_cn_mp(n), abs=1e-14)
+
+
+def test_log_cn_and_tail_stay_finite_and_quiet_up_to_1e300():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in (20, 100, 200, 300):
+            g = 0.5 * (10**e - 1)
+            # the Stirling corrections are below 1/g here, and the tail is x^g / (2 a sqrt(pi g))
+            assert log_cn(10**e) == pytest.approx(0.5 * math.log(g / math.pi), rel=1e-15)
+            want = g * math.log1p(-0.09) - math.log(0.6) - 0.5 * math.log(math.pi * g)
+            assert first_coord_tail_logprob(0.3, 10**e) == pytest.approx(want, rel=1e-14)
+
+
+def test_tail_refuses_an_overlap_whose_square_is_lost_against_one():
+    # a^2 (p + 5/2) >= 3/2 puts a = 5e-9 on the direct branch at n = 1e18, where 1 - a^2 rounds to 1
+    with pytest.raises(NumericalFailure, match="rounds to 1"):
+        first_coord_tail_logprob(5e-9, 10**18)
+
+
+@pytest.mark.parametrize("a", [0.9, 0.999999, 0.999999999, 1.0 - 2.0**-40])
+def test_tail_near_one_matches_closed_forms(a):
+    # n = 2: T = cos(theta) with theta uniform on [0, pi]; n = 3: T is uniform on [-1, 1]
+    assert first_coord_tail_logprob(a, 2) == pytest.approx(math.log(math.acos(a) / math.pi), rel=1e-14)
+    assert first_coord_tail_logprob(a, 3) == pytest.approx(math.log((1.0 - a) / 2.0), rel=1e-14)
 
 
 @pytest.mark.parametrize("n,lo,hi", [(39, -0.96875, -0.9375), (4, -1.0810644521721723e-113, 0.0)])
@@ -819,7 +864,8 @@ def test_run_experiment_reproducible_and_worker_invariant():
     assert np.array_equal(one.stats1, par.stats1)
 
 
-def test_run_experiment_refuses_a_nan_statistic(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_experiment_refuses_a_nan_statistic(monkeypatch, workers):
     """A NaN is never decided as "no detection"; the failure names where it was."""
 
     def make_nan_at_h1_trial_2(name, params=None):
@@ -828,7 +874,7 @@ def test_run_experiment_refuses_a_nan_statistic(monkeypatch):
     monkeypatch.setattr("spiked_lab.inference.make_statistic", make_nan_at_h1_trial_2)
     spec = ExperimentSpec.from_json_dict(_eig_experiment_dict(trials=4))
     with pytest.raises(NumericalFailure, match=r"'eig' is nan at hypothesis H1, trial 2"):
-        run_experiment(spec, workers=1)
+        run_experiment(spec, workers=workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
