@@ -142,7 +142,9 @@ def _cmd_experiment(args) -> dict | str:
     if args.threads is not None and args.threads < 1:
         raise ConfigError("threads", f"must be >= 1, got {args.threads}")
     result = run_experiment(spec, workers=args.threads)
-    return result.rows_csv() if args.format == "csv" else result.to_json_dict()
+    if args.format == "csv":
+        return result.rows_csv()
+    return {**result.to_json_dict(), "meta": {"workers": result.workers, "blas_threads": result.blas_threads}}
 
 
 def _cmd_rate(args) -> dict:
@@ -192,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads (default: SPIKED_LAB_THREADS or the CPU count)",
+        help="worker threads, the one level of parallelism: OpenBLAS runs one thread "
+        "inside each (default: SPIKED_LAB_THREADS or the CPU count)",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_experiment)
@@ -220,7 +223,8 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         result = args.func(args)
         if isinstance(result, dict):  # CSV text goes out as it is
-            meta = {"package_version": __version__, "wall_clock_s": time.monotonic() - started}
+            meta = {"package_version": __version__, "wall_clock_s": time.monotonic() - started,
+                    **result.pop("meta", {})}
             envelope = {"schema_version": SCHEMA_VERSION, "command": args.command}
             result = json.dumps({**envelope, **result, "meta": meta}, indent=2) + "\n"
         _emit(result, args.output)

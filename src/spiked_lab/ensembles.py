@@ -9,7 +9,10 @@ Every trial draws from a counter-based Philox4x64 generator keyed by
 have independent streams addressed by index, so batches are bit-reproducible
 regardless of execution order or worker count, and trial `t` of a batch can
 be regenerated in isolation. Gaussians come from numpy's
-``Generator.standard_normal`` (ziggurat); that choice is frozen.
+``Generator.standard_normal`` (ziggurat); that choice is frozen. Statistics
+run with the loaded OpenBLAS held to one thread, so their bits depend
+neither on the worker count nor, where OpenBLAS is found, on the BLAS
+thread count.
 
 Within a trial the noise tensor is always drawn before any spike direction,
 so a spiked model with strength 0 produces bit-identically the same tensor
@@ -18,10 +21,14 @@ as the corresponding pure-noise model under the same key.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 import json
 import math
 import operator
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -338,32 +345,130 @@ def _threads_default() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+def _resolve_workers(workers: int | None) -> int:
+    """``workers`` checked as an integer >= 1; None means ``_threads_default()``."""
+    return _threads_default() if workers is None else _check_count(workers, "workers", 1)
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count calls of the loaded OpenBLAS, or None where none is found.
+
+    Looked up on the first call, not at import: the mapped libraries are read
+    from /proc/self/maps and opened with ctypes. Other BLAS libraries (MKL,
+    Accelerate) and systems without /proc give None.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in (
+            ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+            ("openblas_get_num_threads", "openblas_set_num_threads"),
+        ):
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """Holds the loaded OpenBLAS to one thread while any pool runs.
+
+    The worker threads are the one level of parallelism: a multi-threaded
+    BLAS inside each of them would put more busy threads than cores on the
+    machine, and its blocking would make eigenvalue bits depend on the BLAS
+    thread count. The count is global to the process, so pools that overlap
+    on several Python threads share one hold: the first in saves the count,
+    the last out restores it, also when a statistic raises.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 0
+
+    @contextlib.contextmanager
+    def __call__(self):
+        """Yields 1 while the hold is in place, or None where no OpenBLAS is found."""
+        api = _openblas_threads()
+        if api is None:
+            yield None
+            return
+        get, set_ = api
+        with self._lock:
+            if self._depth == 0:
+                self._saved = get()
+                set_(1)
+            self._depth += 1
+        try:
+            yield 1
+        finally:
+            with self._lock:
+                self._depth -= 1
+                if self._depth == 0:
+                    set_(self._saved)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
+def _evaluate(jobs: Sequence[tuple], workers: int) -> tuple[tuple[SampleBatch, ...], int | None]:
+    """Evaluate (spec, trials, statistic, context) jobs on one pool of worker threads.
+
+    A trial's value is ``statistic(tensor, spec=..., trial=..., context=...)``
+    on its ``sample_trial`` tensor. The (job, trial) cells, in job order,
+    are cut into at most ``workers`` contiguous ranges, one per worker
+    thread, and each value lands in its job's preallocated array, so the
+    outcome is identical for any worker count. The serial case is one range.
+    A worker stops at its first failing cell, and the failure of the lowest
+    range is raised. Returns the batches and the BLAS hold (1, or None where
+    no OpenBLAS is found).
+    """
+    offsets = list(itertools.accumulate((trials for _, trials, _, _ in jobs), initial=0))
+    values = [np.empty(trials, dtype=np.float64) for _, trials, _, _ in jobs]
+
+    def run_range(lo: int, hi: int):
+        for (spec, trials, statistic, context), start, out in zip(jobs, offsets, values):
+            for t in range(max(lo - start, 0), min(hi - start, trials)):
+                tensor = sample_trial(spec, t, context)
+                out[t] = statistic(tensor, spec=spec, trial=t, context=context)
+
+    cells = offsets[-1]
+    chunk = -(-cells // workers)
+    ranges = [(lo, min(lo + chunk, cells)) for lo in range(0, cells, chunk)]
+    with _one_blas_thread() as blas, ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+        list(pool.map(lambda r: run_range(*r), ranges))
+    batches = tuple(
+        SampleBatch(spec=spec, trials=trials, values=out, context=context)
+        for (spec, trials, _, context), out in zip(jobs, values)
+    )
+    return batches, blas
+
+
 def batch_statistics(
     spec: EnsembleSpec,
     trials: int,
     statistic: StatisticFn,
-    workers: int = 1,
+    workers: int | None = None,
     context: int = 0,
 ) -> SampleBatch:
     """Evaluate ``statistic(tensor, spec=..., trial=..., context=...)`` per trial.
 
     Worker threads partition the trial range; results land in a preallocated
     array indexed by trial, so the outcome is identical for any worker count.
+    ``workers`` defaults to SPIKED_LAB_THREADS, else the CPU count.
     """
     trials = _check_count(trials, "trials", 1)
-    values = np.empty(trials, dtype=np.float64)
-
-    def run_range(lo: int, hi: int):
-        for t in range(lo, hi):
-            tensor = sample_trial(spec, t, context)
-            values[t] = statistic(tensor, spec=spec, trial=t, context=context)
-
-    workers = _check_count(workers, "workers", 1)
-    if workers == 1 or trials == 1:
-        run_range(0, trials)
-    else:
-        chunk = (trials + workers - 1) // workers
-        ranges = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda r: run_range(*r), ranges))
-    return SampleBatch(spec=spec, trials=trials, values=values, context=context)
+    (batch,), _ = _evaluate([(spec, trials, statistic, context)], _resolve_workers(workers))
+    return batch

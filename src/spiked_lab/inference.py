@@ -23,8 +23,8 @@ from .ensembles import (
     STREAM_TEST,
     EnsembleSpec,
     SampleBatch,
-    _threads_default,
-    batch_statistics,
+    _evaluate,
+    _resolve_workers,
     trial_rng,
 )
 from .errors import (
@@ -50,6 +50,16 @@ _TV_VACUOUS = "vacuous"
 _STIRLING_FROM = 100.0
 
 
+def _check_dimension(n) -> int:
+    """A dimension n: an integer >= 2 that a float can hold, so below 2^1024."""
+    n = _check_count(n, "dimension n", 2)
+    try:
+        float(n)
+    except OverflowError:
+        raise ContractError(f"dimension n must be below 2^1024, got a {n.bit_length()}-bit integer") from None
+    return n
+
+
 def log_cn(n: int) -> float:
     """Log normalizer of the first-coordinate density on the unit sphere, -log B(1/2, (n-1)/2).
 
@@ -58,7 +68,7 @@ def log_cn(n: int) -> float:
     ``_log_rising_excess(g, 1/2)``; below, the ratio of gammas (each below
     1e156) keeps the error under 1e-15.
     """
-    n = _check_count(n, "dimension n", 2)
+    n = _check_dimension(n)
     g = (n - 1) / 2.0
     if g >= _STIRLING_FROM:
         return 0.5 * math.log(g) + float(_log_rising_excess(g, 0.5)) - 0.5 * math.log(math.pi)
@@ -71,7 +81,7 @@ def first_coord_log_density(t: float, n: int) -> float:
     At |t| = 1 the value is -inf for n > 3, the constant log(1/2) for n = 3,
     and +inf for n = 2 (integrable endpoint blowup).
     """
-    n = _check_count(n, "dimension n", 2)
+    n = _check_dimension(n)
     if not math.isfinite(t) or abs(t) > 1.0:
         raise ContractError(f"t must lie in [-1, 1], got {t!r}")
     if abs(t) == 1.0:
@@ -122,7 +132,7 @@ def first_coord_tail_logprob(a: float, n: int) -> float:
     with a on a grid of 2001 points; between doubles a few ulp apart
     rounding can make it rise, by less than 1e-14 of its size.
     """
-    n = _check_count(n, "dimension n", 2)
+    n = _check_dimension(n)
     if not math.isfinite(a) or abs(a) > 1.0:
         raise ContractError(f"a must lie in [-1, 1], got {a!r}")
     if a == 1.0:
@@ -325,7 +335,7 @@ def second_moment_sym(beta: float, n: int, k: int) -> SecondMomentResult:
     Gauss's multiplication formula puts it in the form ``_log_series``
     sums, over i = j / s with s = 1 for even k and 2 for odd k.
     """
-    n = _check_count(n, "dimension n", 2)
+    n = _check_dimension(n)
     k = _check_order(k, 10)
     beta = _check_strength(beta, "beta")
     if beta == 0.0:
@@ -352,7 +362,7 @@ def second_moment_asym(
     before: ``seed`` must lie in [0, 2^64), and for k >= 4 ``mc_samples``
     must be an integer >= 2 with mc_samples * k within the entry budget.
     """
-    n = _check_count(n, "dimension n", 2)
+    n = _check_dimension(n)
     k = _check_order(k, 10)
     lam = _check_strength(lam, "lam")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
@@ -618,6 +628,9 @@ class ExperimentResult:
     """Summary of a run plus the per-hypothesis batches it came from.
 
     Per-trial rows and the ROC are derived from the batches when asked for.
+    ``workers`` is the resolved worker count and ``blas_threads`` is 1 when
+    the pool held OpenBLAS to one thread, None when no OpenBLAS was found;
+    neither changes a result.
     """
 
     spec: ExperimentSpec
@@ -625,6 +638,8 @@ class ExperimentResult:
     power: float
     ks: float
     batches: tuple[SampleBatch, SampleBatch]
+    workers: int
+    blas_threads: int | None
 
     @property
     def stats0(self) -> np.ndarray:
@@ -716,19 +731,19 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Experime
     null and alternative never share noise. Decisions are statistic >=
     threshold. The reported KS distance is the exact maximum CDF gap
     between the two statistic samples, which is also the best achievable
-    |power - fpr| over all thresholds. ``workers`` defaults to
-    SPIKED_LAB_THREADS, else the CPU count; the results do not depend on it.
+    |power - fpr| over all thresholds. Both hypotheses share one pool of
+    ``workers`` threads, by default SPIKED_LAB_THREADS, else the CPU count;
+    the results do not depend on it.
     A non-finite statistic, or an overflow or invalid operation inside one,
     is a NumericalFailure, never a decision.
     """
     stat = make_statistic(spec.statistic, spec.params)
-    workers = _threads_default() if workers is None else workers
-    batches = tuple(
-        batch_statistics(
-            ens, spec.trials, _guarded(stat, spec.statistic, hyp), workers, spec.seed * 2 + hyp
-        )
+    workers = _resolve_workers(workers)
+    jobs = [
+        (ens, spec.trials, _guarded(stat, spec.statistic, hyp), spec.seed * 2 + hyp)
         for hyp, ens in enumerate((spec.h0, spec.h1))
-    )
+    ]
+    batches, blas_threads = _evaluate(jobs, workers)
     stats0, stats1 = batches[0].values, batches[1].values
     return ExperimentResult(
         spec=spec,
@@ -736,4 +751,6 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Experime
         power=float(np.mean(stats1 >= spec.threshold)),
         ks=ks_distance(stats0, stats1),
         batches=batches,
+        workers=workers,
+        blas_threads=blas_threads,
     )

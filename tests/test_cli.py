@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from spiked_lab.cli import main
-from spiked_lab.ensembles import EnsembleSpec, sample_trial, sub_seed_hex
+from spiked_lab.ensembles import EnsembleSpec, _openblas_threads, sample_trial, sub_seed_hex
 from spiked_lab.inference import (
     STATISTICS,
     ExperimentSpec,
@@ -255,6 +255,9 @@ def test_experiment_threads_env(capsys, monkeypatch):
     monkeypatch.setenv("SPIKED_LAB_THREADS", "2")
     payload = run_json(capsys, "experiment", "--spec", json.dumps(EXPERIMENT))
     assert payload["command"] == "experiment"
+    assert payload["meta"]["workers"] == 2
+    assert payload["meta"]["blas_threads"] == (None if _openblas_threads() is None else 1)
+    assert run_json(capsys, "experiment", "--spec", json.dumps(EXPERIMENT), "--threads", "3")["meta"]["workers"] == 3
     monkeypatch.setenv("SPIKED_LAB_THREADS", "bogus")
     assert run_cli(capsys, "experiment", "--spec", json.dumps(EXPERIMENT))[0] == 1
     monkeypatch.setenv("SPIKED_LAB_THREADS", "0")
@@ -323,6 +326,20 @@ def test_rate_at_a_tiny_overlap_and_huge_n(capsys):
     # the quadrature printed -21.645 here
     payload = run_json(capsys, "rate", "--a", "1e-9", "--n", str(10**18))
     assert payload["log_tail_prob"] == pytest.approx(-1.84102164500926, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rate", "--a", "0.3", "--n", str(10**400)),
+        ("second-moment", "--model", "sym", "--k", "3", "--n", str(10**400), "--strength", "0.5"),
+    ],
+)
+def test_a_dimension_past_the_float_range_exits_one(capsys, argv):
+    # int too large to convert to float escaped main as an OverflowError here
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: dimension n must be below 2^1024") and err.count("\n") == 1
 
 
 def test_output_flag_writes_file(capsys, tmp_path):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,7 @@ from spiked_lab.ensembles import (
     trial_key,
     trial_rng,
 )
-from spiked_lab.errors import ConfigError, ContractError
+from spiked_lab.errors import ConfigError, ContractError, NumericalFailure
 from spiked_lab.tensors import SymmetricTensor, outer_power
 
 
@@ -420,6 +421,46 @@ def test_batch_statistics_worker_count_is_invisible():
     four = batch_statistics(spec, 23, frob_stat, workers=4)
     assert np.array_equal(one.values, four.values)
     assert one.sub_seeds == four.sub_seeds
+
+
+def test_batch_statistics_defaults_to_the_experiment_worker_count(monkeypatch):
+    """None means SPIKED_LAB_THREADS, else the CPU count, as for run_experiment."""
+    spec = EnsembleSpec(model="goe", n=12, seed=21)
+    monkeypatch.setenv("SPIKED_LAB_THREADS", "0")
+    with pytest.raises(ConfigError, match="SPIKED_LAB_THREADS"):
+        batch_statistics(spec, 2, frob_stat)
+    monkeypatch.setenv("SPIKED_LAB_THREADS", "2")
+    both = threading.Barrier(2, timeout=30)
+
+    def meet(tensor, **kw):
+        both.wait()  # one worker alone would break the barrier
+        return frob_stat(tensor)
+
+    batch = batch_statistics(spec, 2, meet)
+    assert np.array_equal(batch.values, batch_statistics(spec, 2, frob_stat, workers=1).values)
+
+
+def test_the_pool_holds_openblas_to_one_thread_and_restores_it(openblas):
+    spec = EnsembleSpec(model="goe", n=12, seed=21)
+    seen = []
+
+    def record(tensor, **kw):
+        seen.append(openblas())
+        return 0.0
+
+    batch_statistics(spec, 4, record, workers=2)
+    assert seen == [1, 1, 1, 1]
+    assert openblas() == 2
+
+    def fail_at_trial_1(tensor, *, trial, **kw):
+        if trial == 1:
+            raise NumericalFailure("synthetic failure")
+        return 0.0
+
+    for workers in (1, 2):
+        with pytest.raises(NumericalFailure, match="synthetic"):
+            batch_statistics(spec, 4, fail_at_trial_1, workers=workers)
+        assert openblas() == 2
 
 
 def test_default_worker_count_resolution(monkeypatch):

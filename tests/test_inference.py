@@ -1,5 +1,12 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -850,18 +857,138 @@ def test_run_experiment_roc_shape():
     assert all(a >= b - 1e-12 for a, b in zip(tprs, tprs[1:]))
 
 
+def _eig_dict_at(n, **overrides):
+    return _eig_experiment_dict(
+        h0={"model": "goe", "n": n, "seed": 11},
+        h1={"model": "sym_spiked", "n": n, "k": 2, "strength": 1.8, "seed": 12},
+        **overrides,
+    )
+
+
 def test_run_experiment_reproducible_and_worker_invariant():
-    spec = ExperimentSpec.from_json_dict(_eig_experiment_dict(trials=12))
-    one = run_experiment(spec)
-    two = run_experiment(spec)
-    par = run_experiment(spec, workers=3)
-    solo = run_experiment(spec, workers=1)
-    assert np.array_equal(one.stats0, two.stats0)
-    assert np.array_equal(one.stats1, two.stats1)
-    assert np.array_equal(one.stats0, solo.stats0)
-    assert np.array_equal(one.stats1, solo.stats1)
-    assert np.array_equal(one.stats0, par.stats0)
-    assert np.array_equal(one.stats1, par.stats1)
+    for n in (80, 300):  # at n = 80 BLAS threading never changes the bits
+        spec = ExperimentSpec.from_json_dict(_eig_dict_at(n, trials=12))
+        one = run_experiment(spec)
+        two = run_experiment(spec)
+        assert np.array_equal(one.stats0, two.stats0)
+        assert np.array_equal(one.stats1, two.stats1)
+        for workers in (1, 2, 3):
+            other = run_experiment(spec, workers=workers)
+            assert other.workers == workers
+            assert np.array_equal(one.stats0, other.stats0)
+            assert np.array_equal(one.stats1, other.stats1)
+
+
+_EIG_BITS = """
+import json, sys
+from spiked_lab.ensembles import _openblas_threads
+from spiked_lab.inference import ExperimentSpec, run_experiment
+
+before = _openblas_threads()[0]()
+result = run_experiment(ExperimentSpec.from_json_dict(json.loads(sys.argv[1])), workers=2)
+print(json.dumps([before, result.blas_threads, result.stats0.tobytes().hex(), result.stats1.tobytes().hex()]))
+"""
+
+
+def test_eig_bits_do_not_depend_on_the_blas_thread_count(openblas):
+    """Fresh interpreters under OPENBLAS_NUM_THREADS 1 and 2 give the same eigenvalue bits."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    spec = json.dumps(_eig_dict_at(300, trials=4))
+    runs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _EIG_BITS, spec],
+            capture_output=True, text=True, timeout=120, env={**env, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    assert runs[0][0] == 1  # the environment reached the library
+    assert runs[0][1] == runs[1][1] == 1
+    assert runs[0][2:] == runs[1][2:]
+
+
+def test_the_blas_count_is_restored_after_a_run_and_after_a_failure(monkeypatch, openblas):
+    spec = ExperimentSpec.from_json_dict(_eig_experiment_dict(trials=2))
+    assert run_experiment(spec, workers=2).blas_threads == 1
+    assert openblas() == 2
+    monkeypatch.setattr(
+        "spiked_lab.inference.make_statistic", lambda name, params=None: lambda x, **kw: math.nan
+    )
+    for workers in (1, 2):
+        with pytest.raises(NumericalFailure):
+            run_experiment(spec, workers=workers)
+        assert openblas() == 2
+
+
+def test_overlapping_experiments_share_one_blas_hold(monkeypatch, openblas):
+    """The count is global to the process: the last evaluator out restores it, not the first."""
+    both_inside = threading.Barrier(2, timeout=30)
+    first_done = threading.Event()
+    seen = []
+
+    def make(name, params=None):
+        def stat(x, *, spec, trial, **kw):
+            if spec.model == "goe":  # H0 of both experiments: both pools are running
+                both_inside.wait()
+            elif spec.seed == 22:  # H1 of the second, after the first experiment returned
+                assert first_done.wait(timeout=30)
+                seen.append(openblas())
+            return 1.0
+
+        return stat
+
+    monkeypatch.setattr("spiked_lab.inference.make_statistic", make)
+    first = ExperimentSpec.from_json_dict(_eig_experiment_dict(trials=1))
+    second = ExperimentSpec.from_json_dict(
+        _eig_experiment_dict(
+            trials=1,
+            h0={"model": "goe", "n": 80, "seed": 21},
+            h1={"model": "sym_spiked", "n": 80, "k": 2, "strength": 1.8, "seed": 22},
+        )
+    )
+
+    def run_first():
+        try:
+            return run_experiment(first, workers=1)
+        finally:
+            first_done.set()
+
+    with ThreadPoolExecutor(max_workers=2) as callers:
+        runs = [callers.submit(run_first), callers.submit(run_experiment, second, workers=1)]
+        assert [run.result(timeout=60).blas_threads for run in runs] == [1, 1]
+    assert seen == [1]
+    assert openblas() == 2
+
+
+def test_one_pool_runs_both_hypotheses_at_once(monkeypatch):
+    """With one trial each and two workers, H0 and H1 run side by side on two threads."""
+    both = threading.Barrier(2, timeout=30)
+    threads = {}
+
+    def make(name, params=None):
+        def stat(x, *, spec, trial, **kw):
+            threads[spec.seed] = threading.get_ident()
+            both.wait()  # two pools in turn would break the barrier
+            return 1.0
+
+        return stat
+
+    monkeypatch.setattr("spiked_lab.inference.make_statistic", make)
+    result = run_experiment(ExperimentSpec.from_json_dict(_eig_experiment_dict(trials=1)), workers=2)
+    assert result.workers == 2
+    assert set(threads) == {11, 12}
+    assert threads[11] != threads[12]
+
+
+def test_without_openblas_the_pool_runs_and_reports_none(monkeypatch):
+    spec = ExperimentSpec.from_json_dict(_eig_experiment_dict(trials=3))
+    want = run_experiment(spec, workers=1)
+    monkeypatch.setattr("spiked_lab.ensembles._openblas_threads", lambda: None)
+    result = run_experiment(spec, workers=2)
+    assert result.blas_threads is None
+    assert np.array_equal(result.stats0, want.stats0)
+    assert np.array_equal(result.stats1, want.stats1)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
