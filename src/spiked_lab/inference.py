@@ -38,14 +38,13 @@ from .errors import (
     _finite_number,
 )
 from .spectra import eigvals_sym, ks_distance
-from .tensors import DEFAULT_ENTRY_BUDGET, _as_array, frobenius, operator_norm_lb
+from .tensors import _BLOCK_ENTRIES, DEFAULT_ENTRY_BUDGET, _as_array, frobenius, operator_norm_lb
 from .thresholds import _brent_root
 
 _SERIES_BLOCK = 1024
 _SERIES_MAX_TERMS = 1 << 22
 _SERIES_MAX_INDEX = 2.0**52
 _LOG_SERIES_DROP = -40.0
-_LR_BLOCK_ENTRIES = 1 << 14
 _TV_VACUOUS = "vacuous"
 _STIRLING_FROM = 100.0
 
@@ -225,8 +224,10 @@ def _log_rising_excess(g: float, m: np.ndarray) -> np.ndarray:
         lifted = head[a] + rest * log_lift + _log_rising_excess(g + a, rest)
         return np.concatenate((head[m[:cut].astype(np.intp)], lifted)) if cut else lifted
 
-    def corr(x):
-        return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * x * x)) / (x * x)) / x
+    def corr(x):  # in powers of r = 1/x, which cannot overflow for x >= 100
+        r = 1.0 / x
+        r2 = r * r
+        return r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 / 1260.0))
 
     x = g + m
     return (x - 0.5) * np.log1p(m / g) - m + (corr(x) - corr(g))
@@ -403,8 +404,10 @@ def likelihood_ratio_mc(
     Averages exp((n beta / 2) <X, v^(x)k> - n beta^2 / 4) over uniform
     directions v. Zero beta short-circuits to the exact value 1. Directions
     are drawn as blocks of rows, which uses ``rng`` exactly as sequential
-    ``sample_sphere`` calls do; a block holds max(1, 2^14 // n^(k-1)) of
-    them, so memory does not grow with ``n_samples``.
+    ``sample_sphere`` calls do; a block holds max(1, 2^16 // n^(k-1)) of
+    them, so memory does not grow with ``n_samples``. The block's width can
+    change how the BLAS product rounds a direction's column; at n = 30,
+    k = 3 the bits are those of the earlier 2^14-entry blocks.
     """
     beta = _check_strength(beta, "beta")
     arr, k, n = _as_array(x)
@@ -416,7 +419,7 @@ def likelihood_ratio_mc(
         raise SizingError(f"n_samples={n_samples} exceeds the entry budget")
     if rng is None:
         rng = np.random.default_rng(0)
-    block = max(1, _LR_BLOCK_ENTRIES // n ** (k - 1))
+    block = max(1, _BLOCK_ENTRIES // n ** (k - 1))
     contracted = np.empty(n_samples)
     for lo in range(0, n_samples, block):
         g = rng.standard_normal((min(block, n_samples - lo), n))

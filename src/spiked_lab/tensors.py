@@ -37,9 +37,14 @@ _JSON_MAX_ENTRIES = 10**4
 # Source indices per block of a large symmetric tensor, the size (entries plus
 # sources) up to which a shape's plan is cached, and the reads of g per step in
 # a block of at most half as many representatives.
-_CANON_CHUNK = 1 << 18
-_CANON_CACHE_LIMIT = 1 << 22
+_ORBIT_BLOCK_SOURCES = 1 << 18
+_ORBIT_PLAN_LIMIT = 1 << 22
 _READ_CHUNK = 1 << 12
+
+# Entries of X . u^(k-1) computed at once, one n^(k-1) row per direction: the
+# likelihood ratio's directions and the power iteration's restarts are
+# blocked by it.
+_BLOCK_ENTRIES = 1 << 16
 
 # Side of the square tiles the k = 2 kernel walks: a pair of them stays in cache.
 _FOLD_TILE = 128
@@ -303,7 +308,7 @@ def _symmetric(n: int, k: int, g=None, scale=1.0, strength=0.0, v=None) -> np.nd
     and read at k >= 3, where k <= 10. There each value is computed once, at
     the sorted-index representative of its orbit, and written to the whole
     orbit: by one gather back from the cached plan for small shapes, otherwise
-    in blocks of about ``_CANON_CHUNK`` sources. The spike alone needs no orbits.
+    in blocks of about ``_ORBIT_BLOCK_SOURCES`` sources. The spike alone needs no orbits.
     """
     if strength != 0.0:
         v = np.asarray(v, dtype=np.float64)
@@ -312,11 +317,11 @@ def _symmetric(n: int, k: int, g=None, scale=1.0, strength=0.0, v=None) -> np.nd
     if k == 2:
         return _fold(n, g, scale, strength, v)
     flat = g.reshape(-1)  # one copy at most, if g is not contiguous
-    if n**k + math.factorial(k) * math.comb(n + k - 1, k) <= _CANON_CACHE_LIMIT:
+    if n**k + math.factorial(k) * math.comb(n + k - 1, k) <= _ORBIT_PLAN_LIMIT:
         multi, sources, back = _orbit_plan(n, k)
         return _orbit_values(flat, multi, sources, k, scale, strength, v)[back].reshape((n,) * k)
     out = np.empty(n**k)
-    for multi, sources in _orbit_blocks(n, k, max(1, _CANON_CHUNK // math.factorial(k))):
+    for multi, sources in _orbit_blocks(n, k, max(1, _ORBIT_BLOCK_SOURCES // math.factorial(k))):
         vals = _orbit_values(flat, multi, sources, k, scale, strength, v)
         for src in sources:
             out[src] = vals
@@ -394,6 +399,59 @@ class OperatorNormBound(NamedTuple):
     witness: UnitVector
 
 
+def _contract(arr: np.ndarray, k: int, u: np.ndarray) -> np.ndarray:
+    """X . u_i^(k-1) for each row u_i of ``u``: one stacked matmul per order,
+    which runs on every n x n slice the gemv that a 1-d ``arr @ u_i`` runs."""
+    m, n = u.shape
+    res = arr[None]
+    for j in range(k - 1, 0, -1):
+        res = (res @ u.reshape((m,) + (1,) * (j - 1) + (n, 1)))[..., 0]
+    return res
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i . b_i for each row pair, each by the ddot a 1-d ``a_i @ b_i`` calls."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _power_block(arr: np.ndarray, k: int, g: np.ndarray, iters: int):
+    """The best |<X, u^k>| of each restart started at a row of ``g``, and the
+    first u to reach it; 0 and a zero row where no value beats 0.
+
+    A restart iterates u <- X . u^(k-1) / |X . u^(k-1)| and leaves the live
+    rows after its value at its last u: past ``iters`` steps, or once its
+    value changes by at most _POWER_TOL relative. A zero start or a zero
+    X . u^(k-1) leaves at once, as its last value is the one just seen.
+    """
+    best = np.zeros(g.shape[0])
+    witness = np.zeros_like(g)
+    norm = np.sqrt(_row_dots(g, g))
+    rows = np.flatnonzero(norm)  # the restarts still iterating
+    u = g[rows] / norm[rows, None]
+    last = np.zeros(rows.size, dtype=bool)  # rows whose value just seen is their last
+    for step in range(iters + 1):
+        tu = _contract(arr, k, u)
+        val = np.abs(_row_dots(tu, u))
+        up = val > best[rows]
+        best[rows[up]] = val[up]
+        witness[rows[up]] = u[up]
+        tn = np.sqrt(_row_dots(tu, tu))
+        on = ~last & (tn != 0.0)
+        if not on.all():
+            rows, tu, tn, val = rows[on], tu[on], tn[on], val[on]
+            if not rows.size:
+                break
+            if step:
+                prev = prev[on]
+        u = tu / tn[:, None]
+        if step:
+            last = np.abs(val - prev) <= _POWER_TOL * np.maximum(1.0, val)
+        else:
+            last = np.zeros(rows.size, dtype=bool)
+        prev = val
+    return best, witness
+
+
 def operator_norm_lb(
     x: SymmetricTensor,
     restarts: int = 8,
@@ -405,7 +463,13 @@ def operator_norm_lb(
     Each restart iterates u <- normalize(X . u^(k-1)) and tracks the best
     |<X, u^k>| seen, so the returned value is a certified lower bound (any
     unit u certifies one). Exact on rank-one input after one step. The
-    witness is sign-normalized so its first nonzero coordinate is positive.
+    witness is the first u, in restart order, to reach the best value,
+    sign-normalized so its first nonzero coordinate is positive.
+
+    The restarts run together, max(1, 2^16 // n^(k-1)) at a time, each
+    stopping on its own: the start vectors use ``rng`` exactly as sequential
+    ``standard_normal(n)`` calls do, and every product is the one a
+    restart-by-restart loop makes, so the value and witness keep its bits.
     """
     if not isinstance(x, SymmetricTensor):
         raise ContractError("operator_norm_lb expects a SymmetricTensor")
@@ -414,39 +478,14 @@ def operator_norm_lb(
     if rng is None:
         rng = np.random.default_rng(0)
     arr, k, n = x.array, x.order, x.dim
-
-    def contract(u):
-        res = arr
-        for _ in range(k - 1):
-            res = res @ u
-        return res
-
-    best_val = 0.0
-    best_u = None
-    for _ in range(restarts):
-        g = rng.standard_normal(n)
-        norm = np.linalg.norm(g)
-        if norm == 0.0:
-            continue
-        u = g / norm
-        prev = None
-        for _ in range(iters):
-            tu = contract(u)
-            val = abs(float(tu @ u))
-            if val > best_val:
-                best_val, best_u = val, u.copy()
-            tn = np.linalg.norm(tu)
-            if tn == 0.0:
-                break
-            u = tu / tn
-            if prev is not None and abs(val - prev) <= _POWER_TOL * max(1.0, abs(val)):
-                break
-            prev = val
-        tu = contract(u)
-        val = abs(float(tu @ u))
-        if val > best_val:
-            best_val, best_u = val, u.copy()
-    if best_u is None or best_val == 0.0:
+    per_block = max(1, _BLOCK_ENTRIES // n ** (k - 1))
+    best_val, best_u = 0.0, None
+    for lo in range(0, restarts, per_block):
+        best, witness = _power_block(arr, k, rng.standard_normal((min(per_block, restarts - lo), n)), iters)
+        top = int(np.argmax(best))
+        if best[top] > best_val:
+            best_val, best_u = float(best[top]), witness[top]
+    if best_u is None:
         return OperatorNormBound(0.0, UnitVector.basis(n))
     nz = np.nonzero(best_u)[0]
     if nz.size and best_u[nz[0]] < 0:

@@ -328,6 +328,26 @@ def test_rate_at_a_tiny_overlap_and_huge_n(capsys):
     assert payload["log_tail_prob"] == pytest.approx(-1.84102164500926, abs=1e-9)
 
 
+@pytest.mark.parametrize("e", [154, 300])
+def test_second_moment_at_a_dimension_past_1e152_is_quiet(capsys, e):
+    """The log-gamma excess overflowed here and printed a RuntimeWarning.
+
+    For k = 3 and n this large only the j = 2 term of E exp(a T^3) counts:
+    (a^2 / 2) (1/2)_3 / (n/2)_3 = 15 beta^4 / (8 n) up to a relative 1/n.
+    Its log sums about eight pieces of size log n, so its rounding is a few
+    u log n relative.
+    """
+    n, beta = 10**e, 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "second-moment", "--model", "sym", "--k", "3", "--n", str(n), "--strength", str(beta)
+        )
+    assert code == 0 and err == ""
+    want = 15.0 * beta**4 / (8.0 * n)
+    assert json.loads(out)["log_second_moment"] == pytest.approx(want, rel=8 * 2.0**-53 * math.log(n))
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -365,8 +365,8 @@ def test_hidden_clique_bits_match_whole_array_composition(n):
 def test_sym_tensor_bits_match_whole_array_composition(monkeypatch, n, k, streamed):
     """k >= 3 noise and spiked draws, on the cached plan and streamed in 7-entry chunks."""
     if streamed:
-        monkeypatch.setattr(tensors_mod, "_CANON_CACHE_LIMIT", 64)
-        monkeypatch.setattr(tensors_mod, "_CANON_CHUNK", 7)
+        monkeypatch.setattr(tensors_mod, "_ORBIT_PLAN_LIMIT", 64)
+        monkeypatch.setattr(tensors_mod, "_ORBIT_BLOCK_SOURCES", 7)
     g = trial_rng(4, 1).standard_normal((n,) * k)
     noise = sample_trial(EnsembleSpec(model="sym_noise", n=n, k=k, seed=4), 1).array
     assert noise.tobytes() == _oracles.sym_matrix_composed(g).tobytes()

@@ -29,7 +29,7 @@ from spiked_lab.ensembles import (
 )
 from spiked_lab.errors import ConfigError, ContractError, NumericalFailure, SizingError
 from spiked_lab.inference import (
-    _LR_BLOCK_ENTRIES,
+    _BLOCK_ENTRIES,
     ExperimentSpec,
     _brent_root,
     _check_order,
@@ -155,10 +155,31 @@ def test_tail_at_large_n_matches_mpmath(n, c):
     assert first_coord_tail_logprob(a, n) == pytest.approx(want, abs=1e-8)
 
 
-@pytest.mark.parametrize("n", [199, 10**4, 10**8, 10**12, 10**18])
+@pytest.mark.parametrize("n", [199, 10**4, 10**8, 10**12, 10**18, 10**154, 10**300])
 def test_log_cn_matches_mpmath(n):
     # a difference of two log-gammas was off by 3.1e-14 at n = 199, 8.4e-12 at 1e4 and 19.8 at 1e18
-    assert log_cn(n) == pytest.approx(_oracles.log_cn_mp(n), abs=1e-14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_cn(n) == pytest.approx(_oracles.log_cn_mp(n), abs=1e-14)
+
+
+@pytest.mark.parametrize("g", [5e153, 5e299])
+def test_log_rising_excess_past_the_square_of_the_float_range(g):
+    """The Stirling corrections once formed 1260 x^2, which overflowed past
+    x = 3.8e152; in powers of 1/x they stay quiet and below 1/g. What is left
+    is x log1p(m/g) - m, x = g + m - 1/2, whose product is m within 3 roundings,
+    so the result is off by at most 4 u m; the exact values are below 2e-151."""
+    import mpmath as mp
+
+    u = 2.0**-53
+    m = np.arange(0.0, 41.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _log_rising_excess(g, m)
+    with mp.workdps(30 + 2 * int(math.log10(g))):
+        gm = mp.mpf(g)
+        want = np.array([float(mp.loggamma(gm + j) - mp.loggamma(gm) - j * mp.log(gm)) for j in range(41)])
+    assert np.all(np.abs(got - want) <= 4 * u * m)
 
 
 def test_log_cn_and_tail_stay_finite_and_quiet_up_to_1e300():
@@ -531,7 +552,7 @@ def test_lr_zero_strength_short_circuits():
 
 
 def _lr_block(n, k):
-    return max(1, _LR_BLOCK_ENTRIES // n ** (k - 1))
+    return max(1, _BLOCK_ENTRIES // n ** (k - 1))
 
 
 # k = 3 and k = 4 span several blocks, the last one partial
@@ -562,6 +583,23 @@ def test_lr_consumes_the_stream_of_sequential_sphere_draws():
     for _ in range(s):
         sample_sphere(n, ref)
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("model", ["sym_noise", "sym_spiked"])
+def test_lr_bits_do_not_depend_on_the_block_at_the_tensor_shape(monkeypatch, model):
+    """At n = 30, k = 3, blocks of 18 and 72 directions give the same bits.
+    At other shapes the BLAS product can round a column differently with the
+    column count (at n = 12, k = 3, blocks of 113 and 455 directions moved
+    one of 16 draws by an ulp)."""
+    strength = {"strength": 2.0} if model == "sym_spiked" else {}
+    spec = EnsembleSpec.from_json_dict({"model": model, "n": 30, "k": 3, "seed": 4, **strength})
+    for trial in range(6):
+        x = sample_trial(spec, trial)
+        got = []
+        for entries in (1 << 14, 1 << 16):
+            monkeypatch.setattr(inference, "_BLOCK_ENTRIES", entries)
+            got.append(likelihood_ratio_mc(x, 2.0, 2048, trial_rng(9, trial)).log_estimate)
+        assert got[0] == got[1]
 
 
 def test_lr_unbiased_under_noise():
@@ -877,6 +915,27 @@ def test_run_experiment_reproducible_and_worker_invariant():
             assert other.workers == workers
             assert np.array_equal(one.stats0, other.stats0)
             assert np.array_equal(one.stats1, other.stats1)
+
+
+@pytest.mark.parametrize(
+    "test",
+    [
+        {"statistic": "lr", "threshold": 0.0, "params": {"beta": 2.0, "samples": 256}},
+        {"statistic": "opnorm", "threshold": 2.5},
+    ],
+)
+def test_tensor_statistics_do_not_depend_on_the_worker_count(test):
+    spec = ExperimentSpec.from_json_dict({
+        "h0": {"model": "sym_noise", "n": 30, "k": 3, "seed": 11},
+        "h1": {"model": "sym_spiked", "n": 30, "k": 3, "strength": 2.0, "seed": 12},
+        "test": test,
+        "trials": 5,
+        "seed": 3,
+    })
+    runs = [run_experiment(spec, workers=workers) for workers in (1, 2, 3)]
+    for other in runs[1:]:
+        assert other.stats0.tobytes() == runs[0].stats0.tobytes()
+        assert other.stats1.tobytes() == runs[0].stats1.tobytes()
 
 
 _EIG_BITS = """

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spiked_lab.ensembles import EnsembleSpec, sample_trial, trial_rng
 from spiked_lab.errors import ContractError, SizingError
 from spiked_lab.tensors import (
     DenseTensor,
@@ -24,6 +25,7 @@ from spiked_lab.tensors import (
 
 import spiked_lab.tensors as tensors_mod
 from _oracles import (
+    operator_norm_lb_sequential,
     outer_power_bruteforce,
     outer_power_sorted_product,
     symmetrize_bruteforce,
@@ -144,8 +146,8 @@ def test_symmetrize_bits_match_transpose_sum(n, k):
 def test_symmetrize_streamed_path_keeps_the_bits(monkeypatch):
     """Above the plan's size limit, representatives taken a few at a time and
     written straight to their orbits give the bits of the transpose sum."""
-    monkeypatch.setattr(tensors_mod, "_CANON_CACHE_LIMIT", 64)
-    monkeypatch.setattr(tensors_mod, "_CANON_CHUNK", 7)
+    monkeypatch.setattr(tensors_mod, "_ORBIT_PLAN_LIMIT", 64)
+    monkeypatch.setattr(tensors_mod, "_ORBIT_BLOCK_SOURCES", 7)
     for n, k in ((5, 3), (4, 4), (2, 9)):
         arr = random_tensor(n, k, 8)
         assert symmetrize(arr).array.tobytes() == symmetrize_transpose_sum(arr).tobytes()
@@ -198,6 +200,10 @@ def test_inner_and_frobenius():
         inner(ta, DenseTensor(np.zeros((4, 4, 4))))
 
 
+def _same_bound(got, want):
+    return got.value == want.value and got.witness.coords.tobytes() == want.witness.coords.tobytes()
+
+
 def test_operator_norm_matrix_matches_eigenvalue():
     rng = np.random.default_rng(12)
     g = rng.standard_normal((8, 8))
@@ -222,9 +228,11 @@ def test_operator_norm_rank_one_tensor():
 
 
 def test_operator_norm_zero_tensor():
-    got = operator_norm_lb(SymmetricTensor(np.zeros((3, 3, 3))))
+    x = SymmetricTensor(np.zeros((3, 3, 3)))
+    got = operator_norm_lb(x)
     assert got.value == 0.0
     assert got.witness.coords[0] == 1.0
+    assert _same_bound(got, operator_norm_lb_sequential(x))
 
 
 def test_operator_norm_rejects_plain_dense():
@@ -247,6 +255,94 @@ def test_operator_norm_is_lower_bound_for_matrices():
         top = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
         got = operator_norm_lb(SymmetricTensor(sym), restarts=6, iters=200, rng=rng)
         assert got.value <= top + 1e-10
+
+
+@pytest.mark.parametrize("n,k", [(30, 3), (12, 3), (30, 2), (100, 2), (8, 4), (7, 5), (1, 3)])
+@pytest.mark.parametrize("model", ["sym_noise", "sym_spiked"])
+def test_operator_norm_bits_match_the_sequential_loop(n, k, model):
+    """The stacked restarts give the value and witness bits of one restart at a time."""
+    strength = {"strength": 2.0} if model == "sym_spiked" else {}
+    spec = EnsembleSpec.from_json_dict({"model": model, "n": n, "k": k, "seed": 3, **strength})
+    for trial in range(4):
+        x = sample_trial(spec, trial)
+        got = operator_norm_lb(x, rng=trial_rng(5, trial))
+        assert _same_bound(got, operator_norm_lb_sequential(x, rng=trial_rng(5, trial)))
+
+
+def test_operator_norm_bits_where_restarts_stop_at_different_steps():
+    """From nine starts, the matrix's restarts meet the tolerance at steps 29
+    to 41, the n = 6 noise tensor's at 58 and 70 while the rest run all 100,
+    and the rank-one tensor's after two steps."""
+    matrix = SymmetricTensor(np.diag([3.0, -2.0, 1.0, 0.5]) + 0.01 * np.ones((4, 4)))
+    noise = sample_trial(EnsembleSpec(model="sym_noise", n=6, k=3, seed=1), 1)
+    v = np.random.default_rng(7).standard_normal(5)
+    rank_one = SymmetricTensor(2.5 * outer_power(v / np.linalg.norm(v), 3).array)
+    for x, iters in ((matrix, 200), (noise, 100), (rank_one, 200), (noise, 1)):
+        for seed in range(4):
+            got = operator_norm_lb(x, restarts=9, iters=iters, rng=np.random.default_rng(seed))
+            want = operator_norm_lb_sequential(x, restarts=9, iters=iters, rng=np.random.default_rng(seed))
+            assert _same_bound(got, want)
+
+
+class _RowSource:
+    """Hands out the rows of ``starts`` in turn, whether asked for one vector or a block."""
+
+    def __init__(self, starts):
+        self.rows = iter(starts)
+
+    def standard_normal(self, shape):
+        if isinstance(shape, int):
+            return next(self.rows)
+        return np.array([next(self.rows) for _ in range(shape[0])])
+
+
+@pytest.mark.parametrize("entries", [3, 1 << 16])
+def test_operator_norm_witness_is_the_first_to_reach_a_tied_best(monkeypatch, entries):
+    """On diag(2, -2, 1) from starts in the first two axes every step flips
+    the second coordinate and can repeat the value bit for bit; on diag(2, 2,
+    1) two restarts tie. The witness is the first u to reach the best, with
+    the restarts in one block or one a block."""
+    monkeypatch.setattr(tensors_mod, "_BLOCK_ENTRIES", entries)
+    flips = np.zeros((4, 3))
+    flips[:, :2] = np.random.default_rng(0).standard_normal((4, 2))
+    flip = SymmetricTensor(np.diag([2.0, -2.0, 1.0]))
+    got = operator_norm_lb(flip, restarts=4, rng=_RowSource(flips))
+    assert _same_bound(got, operator_norm_lb_sequential(flip, restarts=4, rng=_RowSource(flips)))
+    pair = SymmetricTensor(np.diag([2.0, 2.0, 1.0]))
+    got = operator_norm_lb(pair, restarts=9, rng=np.random.default_rng(1))
+    assert _same_bound(got, operator_norm_lb_sequential(pair, restarts=9, rng=np.random.default_rng(1)))
+
+
+def test_operator_norm_skips_zero_start_vectors():
+    x = sample_trial(EnsembleSpec(model="sym_noise", n=5, k=3, seed=6), 0)
+    starts = np.random.default_rng(3).standard_normal((6, 5))
+    starts[[0, 3]] = 0.0
+    got = operator_norm_lb(x, restarts=6, rng=_RowSource(starts))
+    assert _same_bound(got, operator_norm_lb_sequential(x, restarts=6, rng=_RowSource(starts)))
+    assert got.value > 0.0
+    none = operator_norm_lb(x, restarts=2, rng=_RowSource(np.zeros((2, 5))))
+    assert none.value == 0.0 and none.witness.coords[0] == 1.0
+
+
+@pytest.mark.parametrize("entries", [1, 300, 400])
+def test_operator_norm_bits_across_blocks_of_restarts(monkeypatch, entries):
+    """With blocks of 1, 3 and 4 of the 11 restarts at n = 10, k = 3, the
+    best is still the first restart, in order, to reach it."""
+    monkeypatch.setattr(tensors_mod, "_BLOCK_ENTRIES", entries)
+    spec = EnsembleSpec.from_json_dict({"model": "sym_spiked", "n": 10, "k": 3, "strength": 1.5, "seed": 8})
+    for trial in range(4):
+        x = sample_trial(spec, trial)
+        got = operator_norm_lb(x, restarts=11, iters=60, rng=trial_rng(2, trial))
+        assert _same_bound(got, operator_norm_lb_sequential(x, restarts=11, iters=60, rng=trial_rng(2, trial)))
+
+
+def test_operator_norm_consumes_the_stream_of_sequential_start_draws():
+    x = sample_trial(EnsembleSpec(model="sym_noise", n=30, k=3, seed=2), 0)
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    operator_norm_lb(x, restarts=8, iters=5, rng=rng)
+    for _ in range(8):
+        ref.standard_normal(30)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_save_load_roundtrip(tmp_path):
