@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import __version__
-from .ensembles import STREAM_SAMPLE, EnsembleSpec, sample_trial, sub_seed_hex
+from .ensembles import _MAX_WORKERS, STREAM_SAMPLE, EnsembleSpec, sample_trial, sub_seed_hex
 from .ensembles import _threads_default  # noqa: F401  (perfbench/run.py records the worker count)
 from .errors import ConfigError, NumericalFailure, SpikedLabError
 from .inference import (
@@ -90,10 +90,7 @@ def _cmd_second_moment(args) -> dict:
     if args.model == "sym":
         return second_moment_sym(args.strength, args.n, args.k).to_json_dict()
     seed = args.seed or 0
-    result = second_moment_asym(
-        args.strength, args.n, args.k, mc_samples=args.mc_samples, seed=seed
-    )
-    return {**result.to_json_dict(), "seed": seed}
+    return {**second_moment_asym(args.strength, args.n, args.k).to_json_dict(), "seed": seed}
 
 
 def _cmd_sample(args) -> dict:
@@ -139,8 +136,8 @@ def _cmd_experiment(args) -> dict | str:
     if args.trials is not None:
         data = {**data, "trials": args.trials}
     spec = ExperimentSpec.from_json_dict(data)
-    if args.threads is not None and args.threads < 1:
-        raise ConfigError("threads", f"must be >= 1, got {args.threads}")
+    if args.threads is not None and not 1 <= args.threads <= _MAX_WORKERS:
+        raise ConfigError("threads", f"must be in [1, {_MAX_WORKERS}], got {args.threads}")
     result = run_experiment(spec, workers=args.threads)
     if args.format == "csv":
         return result.rows_csv()

@@ -24,7 +24,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
-import json
 import math
 import operator
 import os
@@ -36,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, SizingError, _check_count, _check_order, _finite_number
-from .tensors import DenseTensor, SymmetricTensor, UnitVector, _check_budget, _symmetric
+from .tensors import DEFAULT_ENTRY_BUDGET, DenseTensor, SymmetricTensor, UnitVector, _check_budget, _symmetric
 
 MODELS = ("goe", "sym_noise", "asym_noise", "sym_spiked", "asym_spiked", "hidden_clique")
 _SPIKED = ("sym_spiked", "asym_spiked")
@@ -44,6 +43,9 @@ _MATRIX_ONLY = ("goe", "hidden_clique")
 
 _M64 = (1 << 64) - 1
 _MAX_TRIAL = 1 << 48
+# Worker threads one pool may start: far above any core count, far below what
+# an operating system refuses.
+_MAX_WORKERS = 1024
 
 # Sub-stream tags within a trial.
 STREAM_SAMPLE = 0
@@ -177,9 +179,6 @@ class EnsembleSpec:
             "seed": self.seed,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, obj) -> "EnsembleSpec":
         if not isinstance(obj, dict):
@@ -199,14 +198,6 @@ class EnsembleSpec:
             spike=obj.get("spike"),
             seed=obj.get("seed", 0),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "EnsembleSpec":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("spec", f"invalid JSON: {exc}") from None
-        return cls.from_json_dict(obj)
 
 
 def sample_sphere(n: int, rng: np.random.Generator) -> UnitVector:
@@ -339,15 +330,20 @@ def _threads_default() -> int:
             value = int(env)
         except ValueError as exc:
             raise ConfigError("SPIKED_LAB_THREADS", f"not an integer: {env!r}") from exc
-        if value < 1:
-            raise ConfigError("SPIKED_LAB_THREADS", f"must be >= 1, got {value}")
+        if not 1 <= value <= _MAX_WORKERS:
+            raise ConfigError("SPIKED_LAB_THREADS", f"must be in [1, {_MAX_WORKERS}], got {value}")
         return value
     return max(1, os.cpu_count() or 1)
 
 
 def _resolve_workers(workers: int | None) -> int:
-    """``workers`` checked as an integer >= 1; None means ``_threads_default()``."""
-    return _threads_default() if workers is None else _check_count(workers, "workers", 1)
+    """``workers`` checked as an integer in [1, _MAX_WORKERS]; None means ``_threads_default()``."""
+    if workers is None:
+        return _threads_default()
+    workers = _check_count(workers, "workers", 1)
+    if workers > _MAX_WORKERS:
+        raise ContractError(f"workers must be at most {_MAX_WORKERS}, got {workers}")
+    return workers
 
 
 @functools.cache
@@ -467,8 +463,11 @@ def batch_statistics(
 
     Worker threads partition the trial range; results land in a preallocated
     array indexed by trial, so the outcome is identical for any worker count.
-    ``workers`` defaults to SPIKED_LAB_THREADS, else the CPU count.
+    ``workers`` defaults to SPIKED_LAB_THREADS, else the CPU count. More than
+    the entry budget of trials is a SizingError, raised before any allocation.
     """
     trials = _check_count(trials, "trials", 1)
+    if trials > DEFAULT_ENTRY_BUDGET:
+        raise SizingError(f"trials={trials} exceeds the entry budget {DEFAULT_ENTRY_BUDGET}")
     (batch,), _ = _evaluate([(spec, trials, statistic, context)], _resolve_workers(workers))
     return batch

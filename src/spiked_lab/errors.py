@@ -23,11 +23,7 @@ class SizingError(SpikedLabError, ValueError):
 
 
 class NumericalFailure(SpikedLabError, RuntimeError):
-    """An iterative routine failed to converge; carries partial state."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """An iterative routine failed to converge, or a computation left the finite range."""
 
 
 class ConfigError(SpikedLabError, ValueError):

@@ -74,24 +74,6 @@ def log_cn(n: int) -> float:
     return math.log(math.gamma(n / 2.0) / math.gamma(g)) - 0.5 * math.log(math.pi)
 
 
-def first_coord_log_density(t: float, n: int) -> float:
-    """Log density of one coordinate of a uniform point on the sphere in R^n.
-
-    At |t| = 1 the value is -inf for n > 3, the constant log(1/2) for n = 3,
-    and +inf for n = 2 (integrable endpoint blowup).
-    """
-    n = _check_dimension(n)
-    if not math.isfinite(t) or abs(t) > 1.0:
-        raise ContractError(f"t must lie in [-1, 1], got {t!r}")
-    if abs(t) == 1.0:
-        if n == 2:
-            return float("inf")
-        if n == 3:
-            return log_cn(3)
-        return float("-inf")
-    return log_cn(n) + 0.5 * (n - 3) * math.log1p(-(t * t))
-
-
 def _beta_cf(p: float, q: float, x: float) -> float:
     """h in I_x(p, q) = x^p (1 - x)^q h / (p B(p, q)), fast for x < (p + 1)/(p + q + 2).
 
@@ -351,29 +333,18 @@ def second_moment_sym(beta: float, n: int, k: int) -> SecondMomentResult:
     return SecondMomentResult("sym", k, n, beta, log_sm, err, _implied_tv(log_sm), "series", nodes)
 
 
-def second_moment_asym(
-    lam: float, n: int, k: int, *, mc_samples: int = 1 << 17, seed: int = 0
-) -> SecondMomentResult:
+def second_moment_asym(lam: float, n: int, k: int) -> SecondMomentResult:
     """Second moment E exp(n lam^2 T_1 ... T_k) for independent overlaps.
 
     With c = n lam^2 and E T^(2j) = (1/2)_j / (n/2)_j it is the series
     sum_j (c^2/4)^j (1/2)_j^(k-1) / (j! (n/2)_j^k), the hypergeometric
     function (k-1)F(k)(1/2, ...; n/2, ...; c^2/4), summed by ``_log_series``.
-    ``mc_samples`` and ``seed`` have no effect. They are still checked as
-    before: ``seed`` must lie in [0, 2^64), and for k >= 4 ``mc_samples``
-    must be an integer >= 2 with mc_samples * k within the entry budget.
     """
     n = _check_dimension(n)
     k = _check_order(k, 10)
     lam = _check_strength(lam, "lam")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise ContractError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if lam == 0.0:
         return SecondMomentResult("asym", k, n, 0.0, 0.0, 0.0, 0.0, "series", 0)
-    if k >= 4:
-        mc_samples = _check_count(mc_samples, "mc_samples", 2)
-        if mc_samples * k > DEFAULT_ENTRY_BUDGET:
-            raise SizingError(f"mc_samples={mc_samples} times k={k} exceeds the entry budget")
     b = 0.5 * n
     log_sm, err, nodes = _log_series(
         2.0 * math.log(b) + 4.0 * math.log(lam), [0.5] * (k - 1), [1.0] + [b] * k
@@ -424,6 +395,10 @@ def likelihood_ratio_mc(
     for lo in range(0, n_samples, block):
         g = rng.standard_normal((min(block, n_samples - lo), n))
         vt = (g / np.linalg.norm(g, axis=1, keepdims=True)).T
+        # One gemm, then k - 2 einsums, rather than the per-direction gemv of
+        # tensors._contract: on 2,048 directions with BLAS at one thread that
+        # took 21 ms against 7.6 at n=30, k=3, 18 against 3.5 at (8, 4) and 35
+        # against 9.4 at (6, 5), and its values differ in the last bits.
         w = arr.reshape(-1, n) @ vt
         for _ in range(k - 1):
             w = np.einsum("ijs,js->is", w.reshape(-1, n, vt.shape[1]), vt)
@@ -548,8 +523,8 @@ class ExperimentSpec:
 
     def __post_init__(self):
         make_statistic(self.statistic, self.params)  # a bad name or parameter fails before any draw
-        if type(self.trials) is not int or self.trials < 1:
-            raise ConfigError("trials", f"must be a positive integer, got {self.trials!r}")
+        if type(self.trials) is not int or not 1 <= self.trials <= DEFAULT_ENTRY_BUDGET:
+            raise ConfigError("trials", f"must be an integer in [1, {DEFAULT_ENTRY_BUDGET}], got {self.trials!r}")
         # streams are keyed by 2 * seed + hypothesis in 64 bits
         if type(self.seed) is not int or not 0 <= self.seed < 2**63:
             raise ConfigError("seed", f"must be an integer in [0, 2^63), got {self.seed!r}")

@@ -58,7 +58,7 @@ def eigvals_sym(x) -> Spectrum:
     try:
         w = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigensolver did not converge: {exc}", partial={"matrix": sym}) from exc
+        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
     return Spectrum(eigenvalues=np.ascontiguousarray(w[::-1]))  # eigvalsh returns ascending order
 
 
@@ -74,16 +74,3 @@ def ks_distance(a, b) -> float:
     fa = np.searchsorted(xa, pooled, side="right") / xa.size
     fb = np.searchsorted(xb, pooled, side="right") / xb.size
     return float(np.max(np.abs(fa - fb)))
-
-
-def semicircle_ref(x):
-    """Semicircle density (1/2pi) sqrt(4 - x^2) on [-2, 2], zero outside; NaN is refused."""
-    arr = np.asarray(x, dtype=np.float64)
-    if np.any(np.isnan(arr)):
-        raise ContractError("semicircle_ref is undefined at NaN")
-    out = np.zeros_like(arr)
-    inside = np.abs(arr) <= 2.0
-    out[inside] = np.sqrt(4.0 - arr[inside] ** 2) / (2.0 * np.pi)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out

@@ -245,19 +245,45 @@ def _orbit_blocks(n: int, k: int, per_block: int):
     ``itertools.combinations_with_replacement`` yields them. Row p of the
     ``sources`` arrays, taken in turn, is the flat index ``transpose(p)`` reads
     at each, in ``itertools.permutations`` order; so a column's sources are its
-    orbit. An array holds the (at most 8!) permutations sharing their first k - 8.
+    orbit. An array holds the (at most 8!) permutations sharing their first
+    h = k - 8 entries, the head. Past the head, tail permutation t puts the
+    sorted coordinates m_0 <= ... <= m_7 at strides s_(t_0), ..., s_(t_7), and
+    sum_j s_(t_j) m_j is the sum over v = 1..n-1 of the s_(t_j) with j >= c_v,
+    c_v the count of m_j below v. Each of those is one lookup, by the set of t's
+    entries from column c_v on, in the 256 subset sums of the strides the head
+    leaves: the sets and sums are built once per call, and the orderings of a
+    head share the lookups.
     """
     strides = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
     tail = np.array(list(itertools.permutations(range(min(k, 8)))), dtype=np.intp)
-    h = k - tail.shape[1]
     reps = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(n), k))
     total = math.comb(n + k - 1, k)
-    for lo in range(0, total, per_block):
-        multi = np.fromiter(reps, np.int64, min(per_block, total - lo) * k).reshape(-1, k).T
-        yield multi, tuple(
-            strides[list(head)] @ multi[:h] + strides[[i for i in range(k) if i not in head]][tail] @ multi[h:]
-            for head in itertools.permutations(range(k), h)
-        )
+    blocks = (
+        np.fromiter(reps, np.int64, min(per_block, total - lo) * k).reshape(-1, k).T
+        for lo in range(0, total, per_block)
+    )
+    if k <= 8:
+        for multi in blocks:
+            yield multi, (strides[tail] @ multi,)
+        return
+    h = k - 8
+    # bit i of suffix[c, p] is set when tail row p holds i in a column >= c; c = 8 is empty
+    suffix = np.zeros((9, tail.shape[0]), dtype=np.uint8)
+    suffix[:8] = np.cumsum(1 << tail[:, ::-1], axis=1)[:, ::-1].T
+    del tail
+    subsets = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    sums = {
+        head: subsets @ strides[[i for i in range(k) if i not in head]]
+        for head in itertools.combinations(range(k), h)
+    }
+    for multi in blocks:
+        cuts = (multi[h:, None] < np.arange(1, n)[:, None]).sum(axis=0)  # c_v per column
+        picks = suffix[cuts].astype(np.intp)
+        pairs = []
+        for head, table in sums.items():
+            tail_sum = table[picks].sum(axis=0).T
+            pairs += [(p, strides[list(p)] @ multi[:h] + tail_sum) for p in itertools.permutations(head)]
+        yield multi, tuple(src for _, src in sorted(pairs, key=lambda pair: pair[0]))
 
 
 @lru_cache(maxsize=32)

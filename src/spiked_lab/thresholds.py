@@ -79,7 +79,7 @@ def _brent_root(
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
         fcur = float(f(xcur))
-    raise NumericalFailure(f"Brent's method did not converge in {iters} steps", partial={"x": xcur})
+    raise NumericalFailure(f"Brent's method did not converge in {iters} steps")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: eigenvalues
 come from exact rational Sturm-chain bisection on the characteristic
-polynomial, symmetrization from explicit permutation loops, tail
+polynomial, symmetrization from explicit permutation loops (the orbit
+sources at k >= 9 from one gather and product per permutation group), tail
 probabilities from the regularized incomplete beta function. Symmetric
 samples are composed from whole-array steps, one n^k array per step, to
 pin the samplers bit for bit. The maximum of the asymmetric variational
@@ -14,7 +15,7 @@ The tensor power iteration is pinned to its restart-by-restart loop.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import chain, combinations_with_replacement, permutations, product
 
 import numpy as np
 import sympy as sp
@@ -99,6 +100,23 @@ def symmetrize_transpose_sum(arr: np.ndarray) -> np.ndarray:
     for idx in product(range(arr.shape[0]), repeat=k):
         out[idx] = total[tuple(sorted(idx))]
     return out
+
+
+def orbit_blocks_by_group(n: int, k: int, per_block: int):
+    """The orbit blocks of ``tensors._orbit_blocks`` built group by group: for
+    each block, each of the k!/8! heads gathers its tail strides and multiplies
+    them into the block's multi-indices. Its sources must match bit for bit."""
+    strides = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    tail = np.array(list(permutations(range(min(k, 8)))), dtype=np.intp)
+    h = k - tail.shape[1]
+    reps = chain.from_iterable(combinations_with_replacement(range(n), k))
+    total = math.comb(n + k - 1, k)
+    for lo in range(0, total, per_block):
+        multi = np.fromiter(reps, np.int64, min(per_block, total - lo) * k).reshape(-1, k).T
+        yield multi, tuple(
+            strides[list(head)] @ multi[:h] + strides[[i for i in range(k) if i not in head]][tail] @ multi[h:]
+            for head in permutations(range(k), h)
+        )
 
 
 def sym_matrix_composed(g: np.ndarray, strength: float = 0.0, v=None) -> np.ndarray:

@@ -25,3 +25,14 @@ def openblas():
         yield get
     finally:
         set_(before)
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """The worker pool made to fail if it is built: a refused count must start no thread."""
+    from spiked_lab import ensembles
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was built")
+
+    monkeypatch.setattr(ensembles, "ThreadPoolExecutor", refuse)

@@ -106,22 +106,13 @@ def test_second_moment_asym_mc_payload(capsys):
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-def test_second_moment_out_of_range_seed_exits_one(capsys, seed):
-    code, out, err = run_cli(
-        capsys, "second-moment", "--model", "asym", "--k", "4", "--n", "30",
-        "--strength", "1.1", "--mc-samples", "64", "--seed", seed,
-    )
-    assert code == 1 and out == ""
-    assert err.startswith("error: seed must be") and err.count("\n") == 1
-
-
-def test_second_moment_oversized_monte_carlo_exits_one(capsys):
-    code, out, err = run_cli(
-        capsys, "second-moment", "--model", "asym", "--k", "4", "--n", "30",
-        "--strength", "1.1", "--mc-samples", "100000000000",
-    )
-    assert code == 1 and out == ""
-    assert err.startswith("error: mc_samples=") and err.count("\n") == 1
+def test_second_moment_asym_ignores_its_no_effect_flags(capsys, seed):
+    """--mc-samples and --seed change nothing, so no value of theirs is refused."""
+    base = ["second-moment", "--model", "asym", "--k", "4", "--n", "30", "--strength", "1.1"]
+    want = run_json(capsys, *base)
+    payload = run_json(capsys, *base, "--mc-samples", "100000000000", "--seed", seed)
+    assert payload["log_second_moment"] == want["log_second_moment"]
+    assert payload["seed"] == int(seed)
 
 
 def test_sample_inline_tensor_matches_library(capsys):
@@ -249,6 +240,33 @@ def test_experiment_overrides(capsys):
         "--threads", "1",
     )
     assert moved["seed"] == 8
+
+
+@pytest.mark.parametrize(
+    "override,env,field",
+    [
+        ((), "100000", "SPIKED_LAB_THREADS"),
+        (("--threads", "1025"), None, "threads"),
+        (("--threads", "100000"), None, "threads"),
+    ],
+)
+def test_experiment_refuses_more_workers_than_the_ceiling(capsys, monkeypatch, no_pool, override, env, field):
+    if env is not None:
+        monkeypatch.setenv("SPIKED_LAB_THREADS", env)
+    code, out, err = run_cli(capsys, "experiment", "--spec", json.dumps(EXPERIMENT), *override)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {field}: must be in [1, 1024]") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("trials", [10**20, 3 * 10**14])
+def test_experiment_refuses_trials_over_the_entry_budget(capsys, no_pool, trials):
+    for argv in (
+        ("--spec", json.dumps({**EXPERIMENT, "trials": trials})),
+        ("--spec", json.dumps(EXPERIMENT), "--trials", str(trials)),
+    ):
+        code, out, err = run_cli(capsys, "experiment", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: trials: must be an integer in [1, 100000000]") and err.count("\n") == 1
 
 
 def test_experiment_threads_env(capsys, monkeypatch):

@@ -28,7 +28,7 @@ from spiked_lab.ensembles import (
     trial_key,
     trial_rng,
 )
-from spiked_lab.errors import ConfigError, ContractError, NumericalFailure
+from spiked_lab.errors import ConfigError, ContractError, NumericalFailure, SizingError
 from spiked_lab.tensors import SymmetricTensor, outer_power
 
 
@@ -152,9 +152,9 @@ def test_spec_refuses_tensors_over_the_entry_budget(model):
 
 def test_spec_json_roundtrip_and_strictness():
     spec = EnsembleSpec(model="sym_spiked", n=12, k=3, strength=1.5, seed=9)
-    data = json.loads(spec.to_json())
+    data = json.loads(json.dumps(spec.to_json_dict()))
     assert set(data) == {"model", "n", "k", "strength", "spike", "seed"}
-    assert EnsembleSpec.from_json(spec.to_json()) == spec
+    assert EnsembleSpec.from_json_dict(data) == spec
     with pytest.raises(ConfigError):
         EnsembleSpec.from_json_dict({**data, "extra": 1})
     with pytest.raises(ConfigError):
@@ -468,7 +468,7 @@ def test_default_worker_count_resolution(monkeypatch):
     assert _threads_default() == max(1, os.cpu_count() or 1)
     monkeypatch.setenv("SPIKED_LAB_THREADS", "3")
     assert _threads_default() == 3
-    for bad in ("bogus", "0", "-2", "1.5"):
+    for bad in ("bogus", "0", "-2", "1.5", "1025", "100000"):
         monkeypatch.setenv("SPIKED_LAB_THREADS", bad)
         with pytest.raises(ConfigError) as info:
             _threads_default()
@@ -485,6 +485,29 @@ def test_batch_statistics_sub_seeds_match_scheme():
 def test_batch_statistics_refuses_bad_trial_counts(bad):
     with pytest.raises(ContractError, match="trials"):
         batch_statistics(EnsembleSpec(model="goe", n=5, seed=2), bad, frob_stat)
+
+
+def test_batch_statistics_refuses_trials_over_the_entry_budget_before_allocating(no_pool):
+    # 10^20 would fail inside np.empty as a ValueError, 3 * 10^14 as a MemoryError
+    for trials in (10**8 + 1, 3 * 10**14, 10**20):
+        with pytest.raises(SizingError, match="entry budget"):
+            batch_statistics(EnsembleSpec(model="goe", n=5, seed=2), trials, frob_stat)
+
+
+def test_batch_statistics_refuses_more_workers_than_the_ceiling(no_pool, monkeypatch):
+    spec = EnsembleSpec(model="goe", n=5, seed=2)
+    with pytest.raises(ContractError, match="workers must be at most 1024"):
+        batch_statistics(spec, 4, frob_stat, workers=1025)
+    monkeypatch.setenv("SPIKED_LAB_THREADS", "100000")
+    with pytest.raises(ConfigError, match="SPIKED_LAB_THREADS"):
+        batch_statistics(spec, 4, frob_stat)
+
+
+def test_batch_statistics_takes_the_ceiling_itself():
+    # one trial is one range, so the largest count starts one thread
+    spec = EnsembleSpec(model="goe", n=5, seed=2)
+    want = batch_statistics(spec, 1, frob_stat, workers=1).values
+    assert np.array_equal(batch_statistics(spec, 1, frob_stat, workers=1024).values, want)
 
 
 def test_batch_statistics_passes_context_through():

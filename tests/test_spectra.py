@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 from scipy.stats import ks_2samp
 
 from spiked_lab.ensembles import sample_goe, trial_rng
@@ -11,7 +10,6 @@ from spiked_lab.spectra import (
     Spectrum,
     eigvals_sym,
     ks_distance,
-    semicircle_ref,
 )
 from spiked_lab.tensors import SymmetricTensor
 
@@ -93,30 +91,14 @@ def test_ks_distance_symmetric_and_bounded(seed, na, nb):
     assert d == ks_distance(b, a)
 
 
-def test_semicircle_density_normalizes():
-    val, _ = integrate.quad(lambda x: semicircle_ref(x), -2, 2)
-    assert val == pytest.approx(1.0, abs=1e-10)
-    assert semicircle_ref(2.5) == 0.0
-    assert semicircle_ref(0.0) == pytest.approx(1.0 / np.pi, rel=1e-12)
-    arr = semicircle_ref(np.array([-3.0, 0.0, 3.0]))
-    assert arr[0] == arr[2] == 0.0
-
-
-def test_semicircle_rejects_nan():
-    with pytest.raises(ContractError, match="NaN"):
-        semicircle_ref(np.nan)
-    with pytest.raises(ContractError, match="NaN"):
-        semicircle_ref(np.array([0.0, np.nan]))
-    assert semicircle_ref(np.inf) == 0.0
-
-
 def test_goe_bulk_close_to_semicircle():
     """Eigenvalue histogram of one big GOE draw against the limit density."""
     x = sample_goe(500, trial_rng(77, 0))
     eigs = eigvals_sym(x).eigenvalues
     hist, edges = np.histogram(eigs, bins=20, range=(-2.0, 2.0), density=True)
     centers = (edges[:-1] + edges[1:]) / 2.0
-    assert np.max(np.abs(hist - semicircle_ref(centers))) <= 0.06
+    semicircle = np.sqrt(4.0 - centers**2) / (2.0 * np.pi)
+    assert np.max(np.abs(hist - semicircle)) <= 0.06
 
 
 def test_spectrum_validates_order():

@@ -26,6 +26,7 @@ from spiked_lab.tensors import (
 import spiked_lab.tensors as tensors_mod
 from _oracles import (
     operator_norm_lb_sequential,
+    orbit_blocks_by_group,
     outer_power_bruteforce,
     outer_power_sorted_product,
     symmetrize_bruteforce,
@@ -151,6 +152,20 @@ def test_symmetrize_streamed_path_keeps_the_bits(monkeypatch):
     for n, k in ((5, 3), (4, 4), (2, 9)):
         arr = random_tensor(n, k, 8)
         assert symmetrize(arr).array.tobytes() == symmetrize_transpose_sum(arr).tobytes()
+
+
+@pytest.mark.parametrize("n,k,per_block", [(2, 10, 1), (2, 9, 10), (3, 9, 4), (1, 9, 1)])
+def test_orbit_blocks_match_the_group_by_group_build(n, k, per_block):
+    """At k >= 9 the sources come from subset-sum lookups; they must be the
+    group-by-group build's indices, in its order, which keeps the sums' bits."""
+    blocks = itertools.zip_longest(
+        tensors_mod._orbit_blocks(n, k, per_block), orbit_blocks_by_group(n, k, per_block)
+    )
+    for got, want in blocks:
+        assert got is not None and want is not None
+        assert np.array_equal(got[0], want[0])
+        assert len(got[1]) == len(want[1])
+        assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
 
 
 def test_symmetrize_exactly_invariant_under_transposition():
