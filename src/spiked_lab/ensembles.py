@@ -35,7 +35,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, SizingError, _check_count, _check_order, _finite_number
-from .tensors import DEFAULT_ENTRY_BUDGET, DenseTensor, SymmetricTensor, UnitVector, _check_budget, _symmetric
+from .tensors import _MAX_ORDER, _MAX_SYM_ORDER, DEFAULT_ENTRY_BUDGET, DenseTensor, SymmetricTensor, UnitVector
+from .tensors import _check_budget, _symmetric
 
 MODELS = ("goe", "sym_noise", "asym_noise", "sym_spiked", "asym_spiked", "hidden_clique")
 _SPIKED = ("sym_spiked", "asym_spiked")
@@ -113,10 +114,12 @@ class EnsembleSpec:
             raise ConfigError("k", f"order must be an integer >= 2, got {self.k!r}")
         if self.model in _MATRIX_ONLY and self.k != 2:
             raise ConfigError("k", f"model {self.model!r} is a matrix model; k must be 2")
+        if self.model in ("sym_noise", "sym_spiked") and self.k > _MAX_SYM_ORDER:
+            raise ConfigError("k", f"model {self.model!r} supports order k <= {_MAX_SYM_ORDER}, got {self.k}")
         try:
             _check_budget(self.n, self.k)
         except SizingError as exc:  # refused before any draw, not as a failed allocation
-            raise ConfigError("n", str(exc)) from None
+            raise ConfigError("k" if self.k > _MAX_ORDER else "n", str(exc)) from None
         if _finite_number(self.strength, "strength") < 0:
             raise ConfigError("strength", f"strength must be >= 0, got {self.strength}")
         if type(self.seed) is not int or not 0 <= self.seed <= _M64:
@@ -217,7 +220,8 @@ def sample_sym_noise(n: int, k: int, rng: np.random.Generator) -> SymmetricTenso
     Gaussian orthogonal ensemble normalized so the spectrum converges to
     [-2, 2], folded in place into its own draw.
     """
-    k = _check_order(k, 10)
+    k = _check_order(k, _MAX_SYM_ORDER)
+    _check_budget(n, k)
     g = rng.standard_normal((n,) * k)
     return SymmetricTensor(_symmetric(n, k, g, math.sqrt(2.0 / n)), check=False)
 
@@ -230,6 +234,7 @@ def sample_goe(n: int, rng: np.random.Generator) -> SymmetricTensor:
 def sample_asym_noise(n: int, k: int, rng: np.random.Generator) -> DenseTensor:
     """Tensor with iid N(0, 1/n) entries."""
     k = _check_order(k)
+    _check_budget(n, k)
     return DenseTensor(rng.standard_normal((n,) * k) / math.sqrt(n))
 
 
@@ -250,7 +255,8 @@ def sample_spiked(spec: EnsembleSpec, rng: np.random.Generator):
         raise ConfigError("model", f"sample_spiked needs a spiked model, got {spec.model!r}")
     n, k, strength = spec.n, spec.k, float(spec.strength)
     if spec.model == "sym_spiked":
-        k = _check_order(k, 10)
+        k = _check_order(k, _MAX_SYM_ORDER)
+        _check_budget(n, k)
         g = rng.standard_normal((n,) * k)
         v = sample_sphere(n, rng).coords if spec.spike is None else spec.spike
         return SymmetricTensor(_symmetric(n, k, g, math.sqrt(2.0 / n), strength, v), check=False)
@@ -274,6 +280,7 @@ def sample_hidden_clique(
     """
     if not 1 <= L <= n:
         raise ContractError(f"clique size must satisfy 1 <= L <= n, got L={L}, n={n}")
+    _check_budget(n, 2)
     x = _symmetric(n, 2, rng.standard_normal((n, n)), math.sqrt(2.0 / n))
     if U is None:
         members = np.sort(rng.choice(n, size=L, replace=False))

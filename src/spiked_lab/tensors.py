@@ -28,6 +28,10 @@ import numpy as np
 from .errors import ContractError, SizingError, _check_count
 
 DEFAULT_ENTRY_BUDGET = 10**8
+# The most axes an array may have under numpy 1.x (numpy 2 allows 64), and the
+# highest order symmetrize and the symmetric samplers take.
+_MAX_ORDER = 32
+_MAX_SYM_ORDER = 10
 
 _MAGIC = b"SPKT"
 _HEADER = struct.Struct("<4sIII")  # magic, k, n, format version
@@ -49,13 +53,13 @@ _BLOCK_ENTRIES = 1 << 16
 # Side of the square tiles the k = 2 kernel walks: a pair of them stays in cache.
 _FOLD_TILE = 128
 
-# Index tuples a symmetry check samples on a large tensor, and the relative
-# change of |<X, u^k>| at which a power-iteration restart stops.
-_SYMMETRY_SAMPLES = 128
+# The relative change of |<X, u^k>| at which a power-iteration restart stops.
 _POWER_TOL = 1e-12
 
 
 def _check_budget(dim: int, order: int) -> int:
+    if order > _MAX_ORDER:
+        raise SizingError(f"tensor order k={order} exceeds the {_MAX_ORDER} axes an array may have")
     # for n >= 2 this order alone gives 2^k > budget; n^k itself could take
     # minutes to form and has too many digits to print
     if dim > 1 and order >= DEFAULT_ENTRY_BUDGET.bit_length() or dim**order > DEFAULT_ENTRY_BUDGET:
@@ -135,8 +139,10 @@ class DenseTensor:
 class SymmetricTensor(DenseTensor):
     """A DenseTensor invariant under every permutation of its indices.
 
-    The invariance is exact (bitwise). ``check=False`` skips verification and
-    is reserved for internal constructors that guarantee symmetry by
+    The invariance is exact: the array must equal (==) each of its k - 1
+    adjacent index transposes, which generate all k! permutations, so a NaN
+    entry is refused at k >= 2. ``check=False`` skips verification and is
+    reserved for internal constructors that guarantee symmetry by
     construction.
     """
 
@@ -356,20 +362,15 @@ def _symmetric(n: int, k: int, g=None, scale=1.0, strength=0.0, v=None) -> np.nd
 
 
 def _exactly_symmetric(arr: np.ndarray) -> bool:
-    k = arr.ndim
-    if k == 1:
-        return True
-    if math.factorial(k) * arr.size <= 2 * 10**6:
-        return all(
-            np.array_equal(arr, arr.transpose(p))
-            for p in itertools.permutations(range(k))
-        )
-    rng = np.random.Generator(np.random.Philox(key=np.array([0, 0], dtype=np.uint64)))
-    idx = rng.integers(0, arr.shape[0], size=(_SYMMETRY_SAMPLES, k))
-    for row in idx:
-        ref = arr[tuple(row)]
-        for p in itertools.permutations(range(k)):
-            if arr[tuple(row[list(p)])] != ref:
+    """Whether ``arr`` equals (==) its every index transpose: the adjacent
+    transpositions (i, i+1) generate all k! of them, so each is checked, one
+    leading index j at a time: arr[j] against its own transpose for i >= 1,
+    and for (0 1) arr[j, l] against arr[l, j] at l >= j. At k >= 2 every entry
+    is compared, so a NaN never passes."""
+    for i in range(arr.ndim - 1):
+        for j in range(arr.shape[0]):
+            a, b = (arr[j, j:], arr[j:, j]) if i == 0 else (arr[j], arr[j].swapaxes(i - 1, i))
+            if not np.array_equal(a, b):
                 return False
     return True
 
@@ -411,8 +412,8 @@ def symmetrize(x):
     if isinstance(x, SymmetricTensor):
         return x
     arr, k, n = _as_array(x)
-    if k > 10:
-        raise ContractError(f"symmetrize supports order <= 10, got k={k}")
+    if k > _MAX_SYM_ORDER:
+        raise ContractError(f"symmetrize supports order <= {_MAX_SYM_ORDER}, got k={k}")
     if k == 1:
         return SymmetricTensor(arr.copy(), check=False)
     # the k = 2 kernel folds in place, so it gets a copy

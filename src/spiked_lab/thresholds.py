@@ -5,7 +5,9 @@ The symmetric threshold for order k is
     beta_k = inf_{q in (0,1)} sqrt( -log(1 - q^2) / q^k ),
 
 computed by a coarse grid scan (which also checks unimodality) followed by
-golden-section refinement. The asymmetric threshold is lambda_k =
+golden-section refinement, for k up to 10^5: past that the minimizing q nears
+1 faster than the golden section can resolve it, and beta_k drifts outside
+its reported tolerance. The asymmetric threshold is lambda_k =
 sqrt(k/2) * beta_k. Internally the objective is minimized in log form,
 log(-log1p(-q^2)) - k log q, which is stable over the whole open interval
 (no underflow of q^k for large k, no cancellation near q = 0).
@@ -25,6 +27,7 @@ _Q_HI = 1.0 - 1e-12
 _GRID_POINTS = 10**4
 _BRACKET_TOL = 1e-10
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_THRESHOLD_ORDER = 10**5
 
 
 def _brent_root(
@@ -158,8 +161,8 @@ def _scan_unimodal(values: np.ndarray) -> bool:
 
 
 def beta_star(k: int) -> ThresholdResult:
-    """Critical beta for the symmetric order-k model (equals 1 at k=2)."""
-    k = _check_order(k)
+    """Critical beta for the symmetric order-k model (equals 1 at k=2), for k <= 10^5."""
+    k = _check_order(k, _MAX_THRESHOLD_ORDER)
     qs = np.linspace(_Q_LO, _Q_HI, _GRID_POINTS)
     vals = _log_objective(qs, k)
     unimodal = _scan_unimodal(vals)
@@ -194,7 +197,7 @@ def beta_star(k: int) -> ThresholdResult:
 
 
 def lambda_star(k: int) -> ThresholdResult:
-    """Critical lambda for the asymmetric order-k model: sqrt(k/2) * beta_k."""
+    """Critical lambda for the asymmetric order-k model: sqrt(k/2) * beta_k, for k <= 10^5."""
     return _lambda_from_beta(beta_star(k))
 
 
@@ -207,11 +210,12 @@ def _lambda_from_beta(base: ThresholdResult) -> ThresholdResult:
 
 
 def beta_star_asymptotic(k: int) -> float:
-    """Large-k approximation sqrt(log(k/2)); defined for k > 2."""
+    """Large-k approximation sqrt(log(k/2)); defined for every integer k > 2."""
     k = _check_order(k)
     if k <= 2:
         raise ContractError(f"asymptotic threshold needs k > 2, got {k}")
-    return math.sqrt(math.log(k / 2.0))
+    # log(k / 2) rounds once, but k / 2 overflows past the float range, where math.log takes the int
+    return math.sqrt(math.log(k / 2) if k < 2**1023 else math.log(k) - math.log(2))
 
 
 def g_lambda_critical(lam: float, k: int) -> list[CriticalPoint]:

@@ -9,7 +9,9 @@ samples are composed from whole-array steps, one n^k array per step, to
 pin the samplers bit for bit. The maximum of the asymmetric variational
 function comes from multistart L-BFGS-B, against the Brent roots of
 ``g_lambda_critical``, and scipy's own ``brentq`` pins the port of it.
-The tensor power iteration is pinned to its restart-by-restart loop.
+The tensor power iteration is pinned to its restart-by-restart loop. The
+symmetry check is pinned to a comparison with all k! index transposes, and
+the critical strength beta_k to its Lambert-W closed form in 60 digits.
 """
 
 import math
@@ -160,6 +162,27 @@ def outer_power_sorted_product(v: np.ndarray, k: int) -> np.ndarray:
             val *= v[i]
         out[idx] = val
     return out
+
+
+def exactly_symmetric_by_transposes(arr: np.ndarray) -> bool:
+    """Whether ``arr`` equals (==) each of its transposes by a permutation of its
+    axes other than the identity; so every array of order 1 passes."""
+    return all(np.array_equal(arr, arr.transpose(p)) for p in list(permutations(range(arr.ndim)))[1:])
+
+
+def beta_star_lambert_mp(k: int, dps: int = 60) -> float:
+    """beta_k from the stationary point of -log(1 - q^2)/q^k in closed form.
+
+    With w = 1 - q^2 the nontrivial root is w = 2/(k y), y = -W_(-1)(-(2/k) e^(-2/k)),
+    on the lower branch of the Lambert W function; then beta^2 = -log(w)/(1 - w)^(k/2).
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        k = mp.mpf(k)
+        y = -mp.re(mp.lambertw(-(2 / k) * mp.exp(-2 / k), -1))
+        w = 2 / (k * y)
+        return float(mp.sqrt(-mp.log(w) / (1 - w) ** (k / 2)))
 
 
 def tail_prob_betainc(a: float, n: int) -> float:

@@ -70,6 +70,13 @@ def test_threshold_rejects_bad_order(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("k", [10**5 + 1, 10**14, 10**400], ids=["1e5+1", "1e14", "1e400"])
+def test_threshold_past_its_order_bound_exits_one(capsys, k):
+    code, out, err = run_cli(capsys, "threshold", "--k", str(k))
+    assert code == 1 and out == ""
+    assert err.startswith("error: order k must be an integer in [2, 100000]") and err.count("\n") == 1
+
+
 def test_usage_errors_exit_one_not_two(capsys):
     assert run_cli(capsys, "threshold")[0] == 1  # missing --k
     assert run_cli(capsys, "no-such-command")[0] == 1
@@ -177,6 +184,12 @@ def test_oversize_spec_exits_one_before_any_draw(capsys, command, model):
     code, out, err = run_cli(capsys, command, "--spec", json.dumps(spec))
     assert code == 1 and out == ""
     assert err.startswith("error: n: ") and err.count("\n") == 1
+
+
+def test_sample_past_the_array_axes_exits_one_naming_the_order(capsys):
+    code, out, err = run_cli(capsys, "sample", "--spec", json.dumps({"model": "asym_noise", "n": 1, "k": 100}))
+    assert code == 1 and out == ""
+    assert err.startswith("error: k: ") and err.count("\n") == 1
 
 
 def test_sample_spec_from_file(capsys, tmp_path):

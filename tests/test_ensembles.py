@@ -21,7 +21,9 @@ from spiked_lab.ensembles import (
     batch_statistics,
     sample_asym_noise,
     sample_goe,
+    sample_hidden_clique,
     sample_sphere,
+    sample_spiked,
     sample_sym_noise,
     sample_trial,
     sub_seed_hex,
@@ -148,6 +150,19 @@ def test_spec_refuses_tensors_over_the_entry_budget(model):
     assert info.value.field == "n"
     assert "entry budget" in str(info.value)
     assert EnsembleSpec(model=model, n=464, k=3).n == 464  # 464^3 < 10^8
+
+
+@pytest.mark.parametrize(
+    "model,n,k",
+    [("sym_noise", 2, 11), ("sym_spiked", 1, 11), ("asym_noise", 1, 33), ("asym_spiked", 1, 100)],
+)
+def test_spec_names_the_order_when_the_order_alone_is_refused(model, n, k):
+    # the symmetric samplers stop at k = 10, and no array has more than 32 axes
+    # under numpy 1.x; both were refused only inside the draw
+    with pytest.raises(ConfigError) as info:
+        EnsembleSpec(model=model, n=n, k=k, strength=1.0)
+    assert info.value.field == "k"
+    assert EnsembleSpec(model="asym_noise", n=1, k=32).k == 32
 
 
 def test_spec_json_roundtrip_and_strictness():
@@ -320,6 +335,37 @@ def test_spiked_samples_are_symmetric_tensors():
     assert isinstance(x, SymmetricTensor)
     for perm in itertools.permutations(range(3)):
         assert np.array_equal(x.array, np.transpose(x.array, perm))
+
+
+class NoDraws:
+    """A generator that fails the test when any normal is drawn."""
+
+    def standard_normal(self, *args, **kwargs):
+        raise AssertionError("normals were drawn before the shape was checked")
+
+
+def resized(spec: EnsembleSpec, n: int) -> EnsembleSpec:
+    """``spec`` with its dimension changed after the spec's own checks ran."""
+    object.__setattr__(spec, "n", n)
+    return spec
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda rng: sample_sym_noise(465, 3, rng),
+        lambda rng: sample_goe(100000, rng),
+        lambda rng: sample_asym_noise(465, 3, rng),
+        lambda rng: sample_hidden_clique(100000, 1, None, rng),
+        lambda rng: sample_spiked(resized(EnsembleSpec(model="sym_spiked", n=4, k=3), 465), rng),
+        lambda rng: sample_spiked(resized(EnsembleSpec(model="asym_spiked", n=4, k=3), 465), rng),
+    ],
+    ids=["sym_noise", "goe", "asym_noise", "hidden_clique", "sym_spiked", "asym_spiked"],
+)
+def test_samplers_refuse_a_shape_over_the_budget_before_any_draw(draw):
+    # sample_sym_noise(465, 3) drew 1.01e8 normals (800 MB) before refusing them
+    with pytest.raises(SizingError, match="entry budget"):
+        draw(NoDraws())
 
 
 # Sizes around the fold's 128-wide tiles, plus the degenerate ones.

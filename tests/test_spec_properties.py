@@ -3,8 +3,9 @@
 Each generated spec starts well formed and then, field by field, now and
 then takes a wild value instead (out of range, wrong type, NaN or infinite,
 junk), loses a field or gains an unknown one. Shapes stay small enough to
-run: n <= 6, k <= 4, at most 2 trials, and few samples, restarts and
-iterations.
+run: n <= 6, k <= 4 apart from the wild orders 11, 27 and 100 (refused by
+the symmetric models, the entry budget or the 32-axis limit except at small
+n), at most 2 trials, and few samples, restarts and iterations.
 """
 
 import contextlib
@@ -12,7 +13,7 @@ import io
 import json
 import math
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spiked_lab.cli import main
@@ -81,7 +82,7 @@ def ensembles(draw):
     wild = {
         "model": st.text(max_size=4),
         "n": st.integers(-1, 6),
-        "k": st.integers(-1, 4),
+        "k": st.one_of(st.integers(-1, 4), st.sampled_from([11, 27, 100])),
         "strength": numbers,
         "seed": st.integers(-1, 2**64),
         "spike": st.one_of(
@@ -141,7 +142,12 @@ def assert_clean_outcome(code, out, err):
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
+# an order past numpy's axis limit at n = 1 ended in numpy's ValueError
+DEEP = {"model": "asym_noise", "n": 1, "k": 100}
+
+
 @given(ensembles())
+@example(DEEP)
 def test_ensemble_spec_ends_in_a_draw_or_a_documented_error(data):
     try:
         spec = EnsembleSpec.from_json_dict(data)
@@ -162,6 +168,7 @@ def test_experiment_spec_ends_in_a_result_or_a_documented_error(data):
 
 
 @given(ensembles(), st.integers(-1, 2))
+@example(DEEP, 0)
 def test_cli_sample_ends_in_json_or_one_error_line(data, trial):
     assert_clean_outcome(*run_main("sample", "--spec", json.dumps(data), "--trial", str(trial)))
 
@@ -169,3 +176,9 @@ def test_cli_sample_ends_in_json_or_one_error_line(data, trial):
 @given(experiments())
 def test_cli_experiment_ends_in_json_or_one_error_line(data):
     assert_clean_outcome(*run_main("experiment", "--spec", json.dumps(data), "--threads", "1"))
+
+
+@given(st.one_of(st.integers(-2, 10**6), st.integers(-2, 10**400)))
+@example(10**14)  # an OverflowError escaped main here
+def test_cli_threshold_ends_in_json_or_one_error_line(k):
+    assert_clean_outcome(*run_main("threshold", "--k", str(k)))

@@ -1,5 +1,7 @@
 import itertools
+import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from spiked_lab.tensors import (
 
 import spiked_lab.tensors as tensors_mod
 from _oracles import (
+    exactly_symmetric_by_transposes,
     operator_norm_lb_sequential,
     orbit_blocks_by_group,
     outer_power_bruteforce,
@@ -83,6 +86,43 @@ def test_symmetric_tensor_check():
     sym = (arr + arr.T) / 2.0
     t = SymmetricTensor(sym)
     assert np.array_equal(t.array, t.array.T)
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([None, math.nan, -0.0, 0.0, 1.0, "next"]),
+)
+def test_symmetry_check_agrees_with_every_transpose(n, k, seed, poke):
+    """Symmetrized arrays of -1, 0 and 1, so ties and signed zeros occur, with
+    one entry now and then set to NaN, a zero of either sign, 1, or its next float."""
+    rng = np.random.default_rng(seed)
+    arr = np.array(symmetrize(rng.integers(-1, 2, size=(n,) * k).astype(float)).array)
+    if poke is not None:
+        idx = tuple(rng.integers(0, n, size=k))
+        arr[idx] = np.nextafter(arr[idx], np.inf) if poke == "next" else poke
+    if exactly_symmetric_by_transposes(arr):
+        assert np.array_equal(SymmetricTensor(arr).array, arr, equal_nan=True)
+    else:
+        with pytest.raises(ContractError):
+            SymmetricTensor(arr)
+
+
+def test_symmetric_tensor_refuses_one_broken_pair_in_a_large_matrix():
+    # a 128-tuple sample of the entries accepted this matrix
+    arr = np.array(symmetrize(random_tensor(1100, 2, 5)).array)
+    arr[3, 1000] = np.nextafter(arr[3, 1000], np.inf)
+    with pytest.raises(ContractError):
+        SymmetricTensor(arr)
+
+
+@pytest.mark.parametrize("n,k", [(2, 8), (1, 10)])
+def test_symmetric_tensor_checks_a_high_order_in_k_minus_one_reads(n, k):
+    # walking all k! permutations of 128 sampled tuples took 27 s at (2, 8),
+    # and at (1, 10) did not finish within 8 minutes
+    arr = symmetrize(random_tensor(n, k, 6)).array
+    assert SymmetricTensor(arr).array.tobytes() == arr.tobytes()
 
 
 def test_unit_vector_validation():
@@ -419,6 +459,19 @@ def test_huge_order_is_refused_before_the_entry_count_is_formed():
     # a raw ValueError, and forming it grows superlinearly in k
     with pytest.raises(SizingError):
         tensor_from_json('{"k": 1000000, "n": 3, "entries": [1.0]}')
+
+
+def test_orders_past_the_array_axes_are_refused(tmp_path):
+    # numpy 1.x arrays have at most 32 axes; order 100 at n = 1 ended in numpy's own ValueError
+    assert outer_power(np.ones(1), 32).order == 32
+    with pytest.raises(SizingError, match="32 axes"):
+        DenseTensor(np.ones(1), order=100, dim=1)
+    with pytest.raises(SizingError, match="32 axes"):
+        outer_power(np.ones(1), 33)
+    path = tmp_path / "deep.spkt"
+    path.write_bytes(struct.pack("<4sIII", b"SPKT", 100, 1, 1) + np.ones(1).tobytes())
+    with pytest.raises(SizingError, match="32 axes"):
+        load_tensor(path)
 
 
 def test_json_rejects_oversized():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import g_lambda_max, pinned_to_brentq
+from _oracles import beta_star_lambert_mp, g_lambda_max, pinned_to_brentq
 from spiked_lab import thresholds
 from spiked_lab.errors import ContractError, NumericalFailure
 from spiked_lab.thresholds import (
@@ -47,6 +47,20 @@ def test_beta_star_matches_high_precision_reference(k):
     assert r.tolerance <= 1e-9
 
 
+@pytest.mark.parametrize("k", [10**3, 10**4, 10**5])
+def test_beta_star_matches_the_lambert_w_closed_form_up_to_its_order_bound(k):
+    assert beta_star(k).value == pytest.approx(beta_star_lambert_mp(k), rel=1e-11)
+
+
+@pytest.mark.parametrize("k", [10**5 + 1, 10**400], ids=["1e5+1", "1e400"])
+def test_threshold_orders_past_the_bound_are_refused(k):
+    # the golden section drifted from q* (beta 0.165 off at k = 10^10) and
+    # overflowed from about k = 10^14
+    for threshold in (beta_star, lambda_star):
+        with pytest.raises(ContractError, match=r"\[2, 100000\]"):
+            threshold(k)
+
+
 def test_beta_star_result_consistency():
     r = beta_star(5)
     assert r.kind == "beta" and r.k == 5
@@ -77,6 +91,9 @@ def test_lambda_star_k2_is_one():
 
 def test_beta_star_asymptotic():
     assert beta_star_asymptotic(100) == pytest.approx(math.sqrt(math.log(50.0)), rel=1e-15)
+    for k in (3, 6, 10, 100, 2**1022 + 1):  # the bits of log(k / 2) are kept
+        assert beta_star_asymptotic(k) == math.sqrt(math.log(k / 2.0))
+    assert beta_star_asymptotic(10**400) == pytest.approx(math.sqrt(400 * math.log(10) - math.log(2)), rel=1e-15)
     for bad in (2, 1):
         with pytest.raises(ContractError):
             beta_star_asymptotic(bad)
