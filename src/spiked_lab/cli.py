@@ -62,7 +62,7 @@ def _load_spec_arg(raw: str) -> dict:
     if candidate.startswith("{"):
         try:
             return json.loads(candidate)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past the int-to-string digit limit
             raise ConfigError("spec", f"inline JSON is invalid: {exc}") from exc
     with _file_errors("spec", raw), open(raw, "r", encoding="utf-8") as fh:
         try:

@@ -12,7 +12,10 @@ be regenerated in isolation. Gaussians come from numpy's
 ``Generator.standard_normal`` (ziggurat); that choice is frozen. Statistics
 run with the loaded OpenBLAS held to one thread, so their bits depend
 neither on the worker count nor, where OpenBLAS is found, on the BLAS
-thread count.
+thread count. A statistic may take a block of consecutive trials of one
+spec at once (``opnorm`` does, one stacked power iteration a block); each
+trial's value keeps the bits it has alone, so how the trials fall into
+blocks, which the worker count decides, changes no result.
 
 Within a trial the noise tensor is always drawn before any spike direction,
 so a spiked model with strength 0 produces bit-identically the same tensor
@@ -34,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, SizingError, _check_count, _check_order, _finite_number
+from .errors import ConfigError, ContractError, SizingError, _check_count, _check_order, _finite_number, _shown
 from .tensors import _MAX_ORDER, _MAX_SYM_ORDER, DEFAULT_ENTRY_BUDGET, DenseTensor, SymmetricTensor, UnitVector
 from .tensors import _check_budget, _symmetric
 
@@ -109,13 +112,13 @@ class EnsembleSpec:
         if self.model not in MODELS:
             raise ConfigError("model", f"unknown model {self.model!r}; expected one of {MODELS}")
         if type(self.n) is not int or self.n < 1:
-            raise ConfigError("n", f"dimension must be a positive integer, got {self.n!r}")
+            raise ConfigError("n", f"dimension must be a positive integer, got {_shown(self.n)}")
         if type(self.k) is not int or self.k < 2:
-            raise ConfigError("k", f"order must be an integer >= 2, got {self.k!r}")
+            raise ConfigError("k", f"order must be an integer >= 2, got {_shown(self.k)}")
         if self.model in _MATRIX_ONLY and self.k != 2:
             raise ConfigError("k", f"model {self.model!r} is a matrix model; k must be 2")
         if self.model in ("sym_noise", "sym_spiked") and self.k > _MAX_SYM_ORDER:
-            raise ConfigError("k", f"model {self.model!r} supports order k <= {_MAX_SYM_ORDER}, got {self.k}")
+            raise ConfigError("k", f"model {self.model!r} supports order k <= {_MAX_SYM_ORDER}, got {_shown(self.k)}")
         try:
             _check_budget(self.n, self.k)
         except SizingError as exc:  # refused before any draw, not as a failed allocation
@@ -123,7 +126,7 @@ class EnsembleSpec:
         if _finite_number(self.strength, "strength") < 0:
             raise ConfigError("strength", f"strength must be >= 0, got {self.strength}")
         if type(self.seed) is not int or not 0 <= self.seed <= _M64:
-            raise ConfigError("seed", f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+            raise ConfigError("seed", f"seed must be a 64-bit unsigned integer, got {_shown(self.seed)}")
         if self.model == "hidden_clique":
             L = self.strength
             if L != int(L) or int(L) < 1:
@@ -206,6 +209,7 @@ class EnsembleSpec:
 def sample_sphere(n: int, rng: np.random.Generator) -> UnitVector:
     """Uniform point on the unit sphere of R^n (normalized Gaussian)."""
     n = _check_count(n, "dimension", 1)
+    _check_budget(n, 1)
     while True:
         g = rng.standard_normal(n)
         norm = np.linalg.norm(g)
@@ -220,6 +224,7 @@ def sample_sym_noise(n: int, k: int, rng: np.random.Generator) -> SymmetricTenso
     Gaussian orthogonal ensemble normalized so the spectrum converges to
     [-2, 2], folded in place into its own draw.
     """
+    n = _check_count(n, "dimension", 1)
     k = _check_order(k, _MAX_SYM_ORDER)
     _check_budget(n, k)
     g = rng.standard_normal((n,) * k)
@@ -233,6 +238,7 @@ def sample_goe(n: int, rng: np.random.Generator) -> SymmetricTensor:
 
 def sample_asym_noise(n: int, k: int, rng: np.random.Generator) -> DenseTensor:
     """Tensor with iid N(0, 1/n) entries."""
+    n = _check_count(n, "dimension", 1)
     k = _check_order(k)
     _check_budget(n, k)
     return DenseTensor(rng.standard_normal((n,) * k) / math.sqrt(n))
@@ -327,6 +333,34 @@ class SampleBatch:
 
 
 StatisticFn = Callable[..., float]
+
+
+@dataclass(frozen=True)
+class _BlockStatistic:
+    """A statistic that takes consecutive trials of one spec at once.
+
+    ``evaluate(tensors, spec=..., trials=..., context=...)`` returns one value
+    per tensor, ``trials`` being the range of their trial indices, and
+    ``per_block(spec)`` is how many trials one call takes. Called as a plain
+    statistic, on one tensor, it is the block of that one trial.
+    """
+
+    evaluate: Callable[..., Sequence[float]]
+    per_block: Callable[[EnsembleSpec], int]
+
+    def __call__(self, x, *, spec, trial, context=0, **kw):
+        return self.evaluate([x], spec=spec, trials=range(trial, trial + 1), context=context)[0]
+
+
+def _as_block(statistic) -> _BlockStatistic:
+    """``statistic`` as a block statistic: a plain one takes blocks of one trial."""
+    if isinstance(statistic, _BlockStatistic):
+        return statistic
+
+    def evaluate(tensors, *, trials, **kw):
+        return [statistic(x, trial=t, **kw) for x, t in zip(tensors, trials)]
+
+    return _BlockStatistic(evaluate, lambda spec: 1)
 
 
 def _threads_default() -> int:
@@ -434,18 +468,24 @@ def _evaluate(jobs: Sequence[tuple], workers: int) -> tuple[tuple[SampleBatch, .
     are cut into at most ``workers`` contiguous ranges, one per worker
     thread, and each value lands in its job's preallocated array, so the
     outcome is identical for any worker count. The serial case is one range.
-    A worker stops at its first failing cell, and the failure of the lowest
-    range is raised. Returns the batches and the BLAS hold (1, or None where
-    no OpenBLAS is found).
+    A block statistic gets a range's consecutive trials of one job
+    ``per_block(spec)`` at a time; any other statistic gets one trial at a
+    time. A worker stops at its first failing block, and the failure of the
+    lowest range is raised. Returns the batches and the BLAS hold (1, or
+    None where no OpenBLAS is found).
     """
     offsets = list(itertools.accumulate((trials for _, trials, _, _ in jobs), initial=0))
     values = [np.empty(trials, dtype=np.float64) for _, trials, _, _ in jobs]
 
     def run_range(lo: int, hi: int):
         for (spec, trials, statistic, context), start, out in zip(jobs, offsets, values):
-            for t in range(max(lo - start, 0), min(hi - start, trials)):
-                tensor = sample_trial(spec, t, context)
-                out[t] = statistic(tensor, spec=spec, trial=t, context=context)
+            statistic = _as_block(statistic)
+            first, stop = max(lo - start, 0), min(hi - start, trials)
+            size = statistic.per_block(spec)
+            for b in range(first, stop, size):
+                block = range(b, min(b + size, stop))
+                tensors = [sample_trial(spec, t, context) for t in block]
+                out[block.start:block.stop] = statistic.evaluate(tensors, spec=spec, trials=block, context=context)
 
     cells = offsets[-1]
     chunk = -(-cells // workers)

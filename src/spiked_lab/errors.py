@@ -35,18 +35,26 @@ class ConfigError(SpikedLabError, ValueError):
         self.reason = message
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or the bit length of an integer too long for Python to print."""
+    try:
+        return repr(value)
+    except ValueError:  # past the interpreter's int-to-string digit limit
+        return f"a {value.bit_length()}-bit integer"
+
+
 def _check_order(k, max_order: float = math.inf) -> int:
     """A tensor order: an integer k >= 2 (bools refused), at most ``max_order``."""
     if isinstance(k, bool) or not isinstance(k, Integral) or not 2 <= k <= max_order:
         bound = ">= 2" if max_order == math.inf else f"in [2, {max_order}]"
-        raise ContractError(f"order k must be an integer {bound}, got {k!r}")
+        raise ContractError(f"order k must be an integer {bound}, got {_shown(k)}")
     return int(k)
 
 
 def _check_count(value, name: str, lo: int) -> int:
     """A sample or iteration count: an integer >= ``lo`` (bools refused)."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < lo:
-        raise ContractError(f"{name} must be an integer >= {lo}, got {value!r}")
+        raise ContractError(f"{name} must be an integer >= {lo}, got {_shown(value)}")
     return int(value)
 
 

@@ -23,6 +23,8 @@ from .ensembles import (
     STREAM_TEST,
     EnsembleSpec,
     SampleBatch,
+    _as_block,
+    _BlockStatistic,
     _evaluate,
     _resolve_workers,
     trial_rng,
@@ -38,7 +40,7 @@ from .errors import (
     _finite_number,
 )
 from .spectra import eigvals_sym, ks_distance
-from .tensors import _BLOCK_ENTRIES, DEFAULT_ENTRY_BUDGET, _as_array, frobenius, operator_norm_lb
+from .tensors import _BLOCK_ENTRIES, DEFAULT_ENTRY_BUDGET, _as_array, _power_trials, frobenius, operator_norm_lb
 from .thresholds import _brent_root
 
 _SERIES_BLOCK = 1024
@@ -471,7 +473,9 @@ def make_statistic(name: str, params: dict | None = None):
     (spec, trial, context) and returns a float. Randomized statistics
     ("lr", "opnorm") derive their generator from the trial coordinates on
     a stream separate from sampling, so results do not depend on worker
-    count or evaluation order.
+    count or evaluation order. "opnorm" is a block statistic: the evaluator
+    hands it consecutive trials of one spec for one stacked power iteration,
+    and each value keeps the bits it gets alone.
     """
     if name not in STATISTICS:
         raise ConfigError("test.statistic", f"unknown statistic {name!r}; known: {STATISTICS}")
@@ -502,11 +506,11 @@ def make_statistic(name: str, params: dict | None = None):
     restarts = _int_param(params, "restarts", 8, 1)
     iters = _int_param(params, "iters", 200, 1)
 
-    def opnorm_stat(x, *, spec, trial, context=0, **kw):
-        rng = trial_rng(spec.seed, trial, STREAM_TEST, context)
-        return operator_norm_lb(x, restarts=restarts, iters=iters, rng=rng).value
+    def opnorm_block(xs, *, spec, trials, context=0, **kw):
+        rngs = [trial_rng(spec.seed, t, STREAM_TEST, context) for t in trials]
+        return [b.value for b in operator_norm_lb(xs, restarts=restarts, iters=iters, rng=rngs)]
 
-    return opnorm_stat
+    return _BlockStatistic(opnorm_block, lambda spec: _power_trials(spec.n, spec.k, restarts))
 
 
 @dataclass(frozen=True)
@@ -676,29 +680,33 @@ def _roc_curve(stats0: np.ndarray, stats1: np.ndarray) -> list:
     return pts
 
 
-def _guarded(stat, name: str, hyp: int):
+def _guarded(stat, name: str, hyp: int) -> _BlockStatistic:
     """``stat`` with a non-finite value or an overflow or invalid operation as a NumericalFailure.
 
     numpy's error state is per thread, so it is set on the worker, around
-    each trial's call. A worker stops at its first failing trial, and the
-    pool reports the failure of the lowest trial range first.
+    each block's call. An error inside a block of several trials reruns them
+    one at a time, each with the bits it has in the block, so the failure
+    names the first failing trial. A worker stops at its first failing
+    trial, and the pool reports the failure of the lowest trial range first.
     """
+    block = _as_block(stat)
 
-    def run(x, *, trial, **kw):
+    def evaluate(xs, *, trials, **kw):
         try:
             with np.errstate(over="raise", invalid="raise"):
-                value = float(stat(x, trial=trial, **kw))
+                values = [float(v) for v in block.evaluate(xs, trials=trials, **kw)]
         except FloatingPointError as exc:
+            if len(trials) > 1:
+                return [v for x, t in zip(xs, trials) for v in evaluate([x], trials=range(t, t + 1), **kw)]
             raise NumericalFailure(
-                f"statistic {name!r} failed at hypothesis H{hyp}, trial {trial}: {exc}"
+                f"statistic {name!r} failed at hypothesis H{hyp}, trial {trials[0]}: {exc}"
             ) from exc
-        if not math.isfinite(value):
-            raise NumericalFailure(
-                f"statistic {name!r} is {value!r} at hypothesis H{hyp}, trial {trial}"
-            )
-        return value
+        for t, value in zip(trials, values):
+            if not math.isfinite(value):
+                raise NumericalFailure(f"statistic {name!r} is {value!r} at hypothesis H{hyp}, trial {t}")
+        return values
 
-    return run
+    return _BlockStatistic(evaluate, block.per_block)
 
 
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> ExperimentResult:

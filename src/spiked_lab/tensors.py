@@ -21,11 +21,11 @@ import json
 import math
 import struct
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ContractError, SizingError, _check_count
+from .errors import ContractError, SizingError, _check_count, _shown
 
 DEFAULT_ENTRY_BUDGET = 10**8
 # The most axes an array may have under numpy 1.x (numpy 2 allows 64), and the
@@ -49,6 +49,9 @@ _READ_CHUNK = 1 << 12
 # likelihood ratio's directions and the power iteration's restarts are
 # blocked by it.
 _BLOCK_ENTRIES = 1 << 16
+# Tensor entries the power iteration copies onto one stack of trials at most;
+# a single trial is never copied.
+_STACK_ENTRIES = 1 << 20
 
 # Side of the square tiles the k = 2 kernel walks: a pair of them stays in cache.
 _FOLD_TILE = 128
@@ -59,11 +62,13 @@ _POWER_TOL = 1e-12
 
 def _check_budget(dim: int, order: int) -> int:
     if order > _MAX_ORDER:
-        raise SizingError(f"tensor order k={order} exceeds the {_MAX_ORDER} axes an array may have")
+        raise SizingError(f"tensor order k={_shown(order)} exceeds the {_MAX_ORDER} axes an array may have")
     # for n >= 2 this order alone gives 2^k > budget; n^k itself could take
     # minutes to form and has too many digits to print
     if dim > 1 and order >= DEFAULT_ENTRY_BUDGET.bit_length() or dim**order > DEFAULT_ENTRY_BUDGET:
-        raise SizingError(f"tensor with n={dim}, k={order} exceeds the entry budget {DEFAULT_ENTRY_BUDGET}")
+        raise SizingError(
+            f"tensor with n={_shown(dim)}, k={_shown(order)} exceeds the entry budget {DEFAULT_ENTRY_BUDGET}"
+        )
     return dim**order
 
 
@@ -427,64 +432,81 @@ class OperatorNormBound(NamedTuple):
 
 
 def _contract(arr: np.ndarray, k: int, u: np.ndarray) -> np.ndarray:
-    """X . u_i^(k-1) for each row u_i of ``u``: one stacked matmul per order,
-    which runs on every n x n slice the gemv that a 1-d ``arr @ u_i`` runs."""
-    m, n = u.shape
-    res = arr[None]
+    """X_t . u_ti^(k-1) for each row u_ti of ``u`` (trials, rows, n), X_t the
+    tensor ``arr[t]``: one stacked matmul per order, which runs on every n x n
+    slice the gemv that a 1-d ``X_t @ u_ti`` runs."""
+    t, m, n = u.shape
+    res = arr[:, None]
     for j in range(k - 1, 0, -1):
-        res = (res @ u.reshape((m,) + (1,) * (j - 1) + (n, 1)))[..., 0]
+        res = (res @ u.reshape((t, m) + (1,) * (j - 1) + (n, 1)))[..., 0]
     return res
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a_i . b_i for each row pair, each by the ddot a 1-d ``a_i @ b_i`` calls."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _power_block(arr: np.ndarray, k: int, g: np.ndarray, iters: int):
-    """The best |<X, u^k>| of each restart started at a row of ``g``, and the
-    first u to reach it; 0 and a zero row where no value beats 0.
+    """For each trial t (the tensor ``arr[t]``) and restart i started at
+    ``g[t, i]``: the best |<X_t, u^k>| and the first u to reach it; 0 and a
+    zero row where no value beats 0.
 
-    A restart iterates u <- X . u^(k-1) / |X . u^(k-1)| and leaves the live
-    rows after its value at its last u: past ``iters`` steps, or once its
-    value changes by at most _POWER_TOL relative. A zero start or a zero
-    X . u^(k-1) leaves at once, as its last value is the one just seen.
+    A restart iterates u <- X . u^(k-1) / |X . u^(k-1)| and leaves after its
+    value at its last u: past ``iters`` steps, or once its value changes by at
+    most _POWER_TOL relative. A zero start or a zero X . u^(k-1) leaves at
+    once, as its last value is the one just seen. All rows step together until
+    the last leaves; a row that has left keeps its last u, so it repeats
+    products already made, and masks keep it out of every update and every
+    division, so no 0/0 is formed.
     """
-    best = np.zeros(g.shape[0])
+    best = np.zeros(g.shape[:2])
     witness = np.zeros_like(g)
     norm = np.sqrt(_row_dots(g, g))
-    rows = np.flatnonzero(norm)  # the restarts still iterating
-    u = g[rows] / norm[rows, None]
-    last = np.zeros(rows.size, dtype=bool)  # rows whose value just seen is their last
+    live = norm != 0.0  # the restarts still iterating
+    u = np.zeros_like(g)
+    np.divide(g, norm[..., None], out=u, where=live[..., None])
+    last = np.zeros_like(live)  # rows whose value just seen is their last
     for step in range(iters + 1):
         tu = _contract(arr, k, u)
         val = np.abs(_row_dots(tu, u))
-        up = val > best[rows]
-        best[rows[up]] = val[up]
-        witness[rows[up]] = u[up]
+        up = live & (val > best)
+        np.copyto(best, val, where=up)
+        np.copyto(witness, u, where=up[..., None])
         tn = np.sqrt(_row_dots(tu, tu))
-        on = ~last & (tn != 0.0)
-        if not on.all():
-            rows, tu, tn, val = rows[on], tu[on], tn[on], val[on]
-            if not rows.size:
-                break
-            if step:
-                prev = prev[on]
-        u = tu / tn[:, None]
+        live &= ~last & (tn != 0.0)
+        if not live.any():
+            break
+        np.divide(tu, tn[..., None], out=u, where=live[..., None])
         if step:
             last = np.abs(val - prev) <= _POWER_TOL * np.maximum(1.0, val)
-        else:
-            last = np.zeros(rows.size, dtype=bool)
         prev = val
     return best, witness
 
 
+def _power_trials(n: int, k: int, restarts: int) -> int:
+    """How many trials one stacked power iteration takes: as many whole
+    trials' restarts as fit in max(1, 2^16 // n^(k-1)) rows, with their
+    tensors in 2^20 entries, and at least one."""
+    return max(1, min(_BLOCK_ENTRIES // (restarts * n ** (k - 1)), _STACK_ENTRIES // n**k))
+
+
+def _unit_bound(value: float, u: np.ndarray, n: int) -> OperatorNormBound:
+    """The bound (value, u) with u sign-normalized, or (0, e_1) where no value beat 0."""
+    if value == 0.0:
+        return OperatorNormBound(0.0, UnitVector.basis(n))
+    nz = np.nonzero(u)[0]
+    if nz.size and u[nz[0]] < 0:
+        u = -u
+    return OperatorNormBound(float(value), UnitVector.normalize(u))
+
+
 def operator_norm_lb(
-    x: SymmetricTensor,
+    x: SymmetricTensor | Sequence[SymmetricTensor],
     restarts: int = 8,
     iters: int = 200,
-    rng: np.random.Generator | None = None,
-) -> OperatorNormBound:
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+) -> OperatorNormBound | list[OperatorNormBound]:
     """Lower bound on max_{|u|=1} |<X, u^(tensor k)>| by symmetric power iteration.
 
     Each restart iterates u <- normalize(X . u^(k-1)) and tracks the best
@@ -493,31 +515,54 @@ def operator_norm_lb(
     witness is the first u, in restart order, to reach the best value,
     sign-normalized so its first nonzero coordinate is positive.
 
-    The restarts run together, max(1, 2^16 // n^(k-1)) at a time, each
-    stopping on its own: the start vectors use ``rng`` exactly as sequential
-    ``standard_normal(n)`` calls do, and every product is the one a
-    restart-by-restart loop makes, so the value and witness keep its bits.
+    ``x`` may also be a list or tuple of same-shape tensors, with ``rng`` a
+    list or tuple of one generator each (None gives each its own
+    ``default_rng(0)``); then the list of their bounds is returned, each the
+    one the tensor gets alone.
+
+    The restarts run together as rows of one stacked iteration, each stopping
+    on its own: max(1, 2^16 // n^(k-1)) rows at a time, the restarts of as
+    many whole tensors as fit (their entries at most 2^20), or one tensor's
+    split into blocks of that many. The start vectors use each generator
+    exactly as sequential ``standard_normal(n)`` calls do, and every product
+    is the one a restart-by-restart loop over one tensor makes, so each value
+    and witness keep its bits.
     """
-    if not isinstance(x, SymmetricTensor):
-        raise ContractError("operator_norm_lb expects a SymmetricTensor")
+    single = not isinstance(x, (list, tuple))
+    xs = [x] if single else list(x)
+    if not xs or not all(isinstance(t, SymmetricTensor) for t in xs):
+        raise ContractError("operator_norm_lb expects a SymmetricTensor or a nonempty list of them")
+    k, n = xs[0].order, xs[0].dim
+    if any((t.order, t.dim) != (k, n) for t in xs):
+        raise ContractError("operator_norm_lb takes tensors of one order and dimension at once")
+    if single or rng is None:
+        rngs = [rng] * len(xs)
+    elif isinstance(rng, (list, tuple)) and len(rng) == len(xs):
+        rngs = list(rng)
+    else:
+        raise ContractError(f"operator_norm_lb needs a list of one generator per tensor, for {len(xs)} tensors")
     restarts = _check_count(restarts, "restarts", 1)
     iters = _check_count(iters, "iters", 1)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    arr, k, n = x.array, x.order, x.dim
-    per_block = max(1, _BLOCK_ENTRIES // n ** (k - 1))
-    best_val, best_u = 0.0, None
-    for lo in range(0, restarts, per_block):
-        best, witness = _power_block(arr, k, rng.standard_normal((min(per_block, restarts - lo), n)), iters)
-        top = int(np.argmax(best))
-        if best[top] > best_val:
-            best_val, best_u = float(best[top]), witness[top]
-    if best_u is None:
-        return OperatorNormBound(0.0, UnitVector.basis(n))
-    nz = np.nonzero(best_u)[0]
-    if nz.size and best_u[nz[0]] < 0:
-        best_u = -best_u
-    return OperatorNormBound(best_val, UnitVector.normalize(best_u))
+    rngs = [np.random.default_rng(0) if r is None else r for r in rngs]
+    per_block = min(restarts, max(1, _BLOCK_ENTRIES // n ** (k - 1)))
+    trials = _power_trials(n, k, restarts)
+    bounds = []
+    for lo in range(0, len(xs), trials):
+        block = range(lo, min(lo + trials, len(xs)))
+        # one tensor is a view; several are stacked on a leading axis
+        arr = xs[lo].array[None] if len(block) == 1 else np.stack([xs[t].array for t in block])
+        each = np.arange(len(block))
+        best_val, best_u = np.zeros(len(block)), np.zeros((len(block), n))
+        for r in range(0, restarts, per_block):
+            g = np.stack([rngs[t].standard_normal((min(per_block, restarts - r), n)) for t in block])
+            best, witness = _power_block(arr, k, g, iters)
+            top = np.argmax(best, axis=1)  # each tensor's first restart to reach its best
+            top_val = best[each, top]
+            up = top_val > best_val
+            best_val[up] = top_val[up]
+            best_u[up] = witness[each, top][up]
+        bounds += [_unit_bound(v, u, n) for v, u in zip(best_val, best_u)]
+    return bounds[0] if single else bounds
 
 
 def save_tensor(x, path) -> None:

@@ -3,11 +3,13 @@
 ``perfbench/spans.py`` wraps each ``_TRACED`` function by a bare ``getattr``,
 and ``perfbench/run.py`` calls ``cli.main`` and ``cli._threads_default`` and
 catches ``cli.SpikedLabError``: a deleted or renamed name would crash a traced
-benchmark run. ``_TRACED`` is read from the file's source, not imported.
+benchmark run. ``_TRACED`` is read from the file's source, not imported,
+except by the last test, which runs the tracer itself.
 """
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,23 @@ def test_benchmark_names_resolve(module, name):
 
 def test_every_exported_name_resolves():
     assert [name for name in spiked_lab.__all__ if not hasattr(spiked_lab, name)] == []
+
+
+def test_a_traced_opnorm_experiment_records_its_layers(monkeypatch):
+    """A layer whose calls stop entering through the traced name would read 0
+    without complaint: the sampler and the opnorm power iteration must show."""
+    monkeypatch.syspath_prepend(str(SPANS.parent))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    from spans import Tracer
+
+    spec = spiked_lab.ExperimentSpec.from_json_dict({
+        "h0": {"model": "sym_noise", "n": 5, "k": 3, "seed": 1},
+        "h1": {"model": "sym_spiked", "n": 5, "k": 3, "strength": 2.0, "seed": 2},
+        "test": {"statistic": "opnorm", "threshold": 2.5, "params": {"iters": 10}},
+        "trials": 3,
+    })
+    with Tracer().installed() as tracer:
+        spiked_lab.inference.run_experiment(spec, workers=1)
+    names = [span["name"] for span in tracer.spans]
+    assert names.count("ensembles.sample_trial") == 6
+    assert names.count("tensors.operator_norm_lb") == 2  # one block of three trials per hypothesis

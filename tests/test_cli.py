@@ -192,6 +192,14 @@ def test_sample_past_the_array_axes_exits_one_naming_the_order(capsys):
     assert err.startswith("error: k: ") and err.count("\n") == 1
 
 
+def test_an_integer_too_long_for_json_exits_one(capsys):
+    # json.loads raises a plain ValueError past Python's 4,300-digit limit
+    spec = '{"model": "goe", "n": 1' + "0" * 5000 + "}"
+    code, out, err = run_cli(capsys, "sample", "--spec", spec)
+    assert code == 1 and out == ""
+    assert err.startswith("error: spec: inline JSON is invalid") and err.count("\n") == 1
+
+
 def test_sample_spec_from_file(capsys, tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"model": "goe", "n": 9, "seed": 3}))

@@ -368,6 +368,22 @@ def test_samplers_refuse_a_shape_over_the_budget_before_any_draw(draw):
         draw(NoDraws())
 
 
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda n, rng: sample_sym_noise(n, 3, rng),
+        lambda n, rng: sample_goe(n, rng),
+        lambda n, rng: sample_asym_noise(n, 3, rng),
+    ],
+    ids=["sym_noise", "goe", "asym_noise"],
+)
+@pytest.mark.parametrize("n", [0, -1, 2.5, True])
+def test_samplers_refuse_a_dimension_that_is_not_a_positive_integer(draw, n):
+    # n = 0 divided by zero in sqrt(2/n); n = -1 reached numpy's negative-dimension error
+    with pytest.raises(ContractError, match="dimension must be an integer >= 1"):
+        draw(n, NoDraws())
+
+
 # Sizes around the fold's 128-wide tiles, plus the degenerate ones.
 FOLD_SIZES = [1, 2, 127, 128, 129, 300]
 

@@ -20,6 +20,7 @@ import _oracles
 from spiked_lab import inference
 from spiked_lab.ensembles import (
     STREAM_SAMPLE,
+    STREAM_TEST,
     EnsembleSpec,
     sample_goe,
     sample_sphere,
@@ -28,6 +29,7 @@ from spiked_lab.ensembles import (
     trial_rng,
 )
 from spiked_lab.errors import ConfigError, ContractError, NumericalFailure, SizingError
+from spiked_lab.tensors import SymmetricTensor
 from spiked_lab.inference import (
     _BLOCK_ENTRIES,
     ExperimentSpec,
@@ -1052,6 +1054,59 @@ def test_run_experiment_reports_an_overflow_inside_a_statistic(monkeypatch, work
     assert str(info.value).startswith(
         "statistic 'eig' failed at hypothesis H1, trial 1: overflow encountered in "
     )
+    assert np.geterr() == before
+
+
+def _opnorm_experiment(n=6, trials=7, strength=20.0, **params):
+    data = {
+        "h0": {"model": "sym_noise", "n": n, "k": 3, "seed": 31},
+        "h1": {"model": "sym_spiked", "n": n, "k": 3, "strength": strength, "seed": 32},
+        "test": {"statistic": "opnorm", "threshold": 2.5, **({"params": params} if params else {})},
+        "trials": trials,
+        "seed": 5,
+    }
+    return ExperimentSpec.from_json_dict(data)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "entries,spec",
+    [
+        (36 * 8 * 3, _opnorm_experiment()),  # blocks of at most 3 trials, cut by the ranges
+        (36 * 3, _opnorm_experiment()),  # one trial a block, its 8 restarts in blocks of 3
+        (1 << 16, _opnorm_experiment(restarts=300, iters=20)),  # restarts over the 227-row block
+        (1 << 16, _opnorm_experiment(n=30, trials=10, strength=2.0)),  # the 9-trial blocks at n = 30
+    ],
+    ids=["3-trials", "3-restarts", "300-restarts", "n30"],
+)
+def test_opnorm_experiment_values_are_each_trials_own_loop(monkeypatch, workers, entries, spec):
+    """Trials that run every step (H0) share blocks with trials that stop after
+    a few (H1 at strength 20); each value has the bits of its trial alone."""
+    monkeypatch.setattr("spiked_lab.tensors._BLOCK_ENTRIES", entries)
+    result = run_experiment(spec, workers=workers)
+    params = spec.params or {}
+    for hyp, (ens, values) in enumerate(zip((spec.h0, spec.h1), (result.stats0, result.stats1))):
+        context = spec.seed * 2 + hyp
+        for t, value in enumerate(values.tolist()):
+            rng = trial_rng(ens.seed, t, STREAM_TEST, context)
+            want = _oracles.operator_norm_lb_sequential(sample_trial(ens, t, context), rng=rng, **params)
+            assert value == want.value, (hyp, t)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_overflow_inside_an_opnorm_block_names_its_trial(monkeypatch, workers):
+    """Trials 2 and 3 of H1 overflow in a block of four: the first is named, and no warning escapes."""
+    def sample(spec, trial, context=0):
+        x = sample_trial(spec, trial, context)
+        return SymmetricTensor(1e200 * x.array) if spec.seed == 32 and trial >= 2 else x
+
+    monkeypatch.setattr("spiked_lab.ensembles.sample_trial", sample)
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure) as info:
+            run_experiment(_opnorm_experiment(trials=4), workers=workers)
+    assert str(info.value).startswith("statistic 'opnorm' failed at hypothesis H1, trial 2: overflow encountered in ")
     assert np.geterr() == before
 
 

@@ -391,6 +391,64 @@ def test_operator_norm_bits_across_blocks_of_restarts(monkeypatch, entries):
         assert _same_bound(got, operator_norm_lb_sequential(x, restarts=11, iters=60, rng=trial_rng(2, trial)))
 
 
+def _mixed_tensors():
+    """n = 6, k = 3 tensors whose restarts stop at different steps: noise that
+    runs every step, a strong rank-one tensor that stops after two, and a zero
+    tensor that stops at once."""
+    noise = EnsembleSpec(model="sym_noise", n=6, k=3, seed=4)
+    v = np.random.default_rng(2).standard_normal(6)
+    rank_one = SymmetricTensor(20.0 * outer_power(v / np.linalg.norm(v), 3).array)
+    zero = SymmetricTensor(np.zeros((6, 6, 6)))
+    return [sample_trial(noise, 0), rank_one, zero, sample_trial(noise, 1), rank_one, sample_trial(noise, 2), zero]
+
+
+@pytest.mark.parametrize("entries", [36 * 8 * 3, 36 * 3, 1 << 16], ids=["3-trials", "3-restarts", "default"])
+def test_operator_norm_of_a_list_is_each_tensor_alone(monkeypatch, entries):
+    """Seven tensors in blocks of 3, 3 and 1 trials, one trial a block with its
+    8 restarts in blocks of 3, 3 and 2, and all seven in one block: each value
+    and witness has the bits of the tensor's own restart-by-restart loop."""
+    monkeypatch.setattr(tensors_mod, "_BLOCK_ENTRIES", entries)
+    xs = _mixed_tensors()
+    got = operator_norm_lb(xs, iters=50, rng=[trial_rng(6, t) for t in range(len(xs))])
+    assert len(got) == len(xs)
+    for t, (x, bound) in enumerate(zip(xs, got)):
+        assert _same_bound(bound, operator_norm_lb_sequential(x, iters=50, rng=trial_rng(6, t)))
+    assert [b.value for b in got][2::4] == [0.0, 0.0]  # the zero tensors
+    assert _same_bound(operator_norm_lb(tuple(xs[:2]))[1], operator_norm_lb(xs[1]))  # None: default_rng(0) each
+
+
+@pytest.mark.parametrize(
+    "n,k,restarts,trials",
+    [(30, 3, 8, 9), (30, 3, 80, 1), (8, 4, 8, 16), (300, 2, 8, 11), (1000, 2, 8, 1), (100, 3, 8, 1)],
+)
+def test_a_power_block_holds_whole_trials_within_both_bounds(n, k, restarts, trials):
+    """9 trials of 8 restarts fill 72 of the 72 rows at n = 30, k = 3; at
+    n = 300, k = 2 the 2^20-entry stack, not the 218 rows, holds 11 trials;
+    where one trial's restarts fill the rows or its tensor the stack, one."""
+    assert tensors_mod._power_trials(n, k, restarts) == trials
+
+
+def test_operator_norm_of_a_list_refuses_mismatched_inputs():
+    x3, x2 = SymmetricTensor(np.zeros((2, 2, 2))), SymmetricTensor(np.eye(2))
+    rng = np.random.default_rng(0)
+    for xs, rngs, match in (
+        ([], None, "nonempty list"),
+        ([x3, DenseTensor(np.zeros((2, 2, 2)))], None, "SymmetricTensor"),
+        ([x3, x2], None, "one order and dimension"),
+        ([x3, x3], [rng], "one generator per tensor"),
+        ([x3, x3], rng, "one generator per tensor"),
+    ):
+        with pytest.raises(ContractError, match=match):
+            operator_norm_lb(xs, rng=rngs)
+
+
+def test_an_order_too_long_to_print_is_a_sizing_error():
+    with pytest.raises(SizingError, match="a 16610-bit integer"):
+        DenseTensor(np.ones(1), order=10**5000, dim=1)
+    with pytest.raises(ContractError, match="a 16610-bit integer"):
+        operator_norm_lb(SymmetricTensor(np.eye(2)), restarts=-(10**5000))
+
+
 def test_operator_norm_consumes_the_stream_of_sequential_start_draws():
     x = sample_trial(EnsembleSpec(model="sym_noise", n=30, k=3, seed=2), 0)
     rng, ref = np.random.default_rng(7), np.random.default_rng(7)

@@ -76,6 +76,12 @@ def test_beta_star_rejects_bad_order():
             beta_star(bad)
 
 
+def test_an_order_too_long_to_print_is_named_by_its_bit_length():
+    # repr of an int past Python's 4,300-digit limit raised a bare ValueError
+    with pytest.raises(ContractError, match=r"got a 16610-bit integer"):
+        beta_star(10**5000)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 10, 100])
 def test_lambda_star_is_sqrt_k_over_2_times_beta_star(k):
     lam = lambda_star(k)
