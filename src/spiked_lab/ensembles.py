@@ -284,15 +284,19 @@ def sample_hidden_clique(
     Equivalent to the symmetric spiked matrix with beta = L/sqrt(n) and spike
     1_U/sqrt(L). U is drawn uniformly over size-L subsets when not given.
     """
-    if not 1 <= L <= n:
-        raise ContractError(f"clique size must satisfy 1 <= L <= n, got L={L}, n={n}")
+    n = _check_count(n, "dimension", 1)
+    if _check_count(L, "clique size L", 1) > n:
+        raise ContractError(f"clique size must satisfy 1 <= L <= n, got L={_shown(L)}, n={_shown(n)}")
     _check_budget(n, 2)
     x = _symmetric(n, 2, rng.standard_normal((n, n)), math.sqrt(2.0 / n))
     if U is None:
         members = np.sort(rng.choice(n, size=L, replace=False))
     else:
-        members = np.asarray(sorted(int(i) for i in U))
-        if members.size != L or (members.size and (members[0] < 0 or members[-1] >= n)):
+        try:  # operator.index refuses 3.9, "1" and np.float64(1.0) rather than rounding them
+            members = np.asarray(sorted(operator.index(i) for i in U))
+        except TypeError:
+            raise ContractError("clique members must be a sequence of vertex indices") from None
+        if members.size != L or members[0] < 0 or members[-1] >= n:
             raise ContractError("clique member set does not match L or lies outside [0, n)")
         if np.unique(members).size != members.size:
             raise ContractError("clique members must be distinct")

@@ -146,18 +146,10 @@ def _log_objective(q: np.ndarray | float, k: int):
 
 
 def _scan_unimodal(values: np.ndarray) -> bool:
-    """True when the sequence descends then ascends, up to flat noise."""
+    """True when no fall follows the first rise: the sequence descends then ascends, up to flat noise."""
     diffs = np.diff(values)
     tol = 1e-12 * (1.0 + np.abs(values[:-1]) + np.abs(values[1:]))
-    rising = diffs > tol
-    falling = diffs < -tol
-    seen_rise = False
-    for r, f in zip(rising, falling):
-        if r:
-            seen_rise = True
-        elif f and seen_rise:
-            return False
-    return True
+    return not np.any((diffs < -tol) & np.logical_or.accumulate(diffs > tol))
 
 
 def beta_star(k: int) -> ThresholdResult:

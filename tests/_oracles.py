@@ -10,8 +10,9 @@ pin the samplers bit for bit. The maximum of the asymmetric variational
 function comes from multistart L-BFGS-B, against the Brent roots of
 ``g_lambda_critical``, and scipy's own ``brentq`` pins the port of it.
 The tensor power iteration is pinned to its restart-by-restart loop. The
-symmetry check is pinned to a comparison with all k! index transposes, and
-the critical strength beta_k to its Lambert-W closed form in 60 digits.
+symmetry check is pinned to a comparison with all k! index transposes, the
+critical strength beta_k to its Lambert-W closed form in 60 digits, and the
+grid's unimodality flag to a scan of one difference at a time.
 """
 
 import math
@@ -170,6 +171,22 @@ def exactly_symmetric_by_transposes(arr: np.ndarray) -> bool:
     return all(np.array_equal(arr, arr.transpose(p)) for p in list(permutations(range(arr.ndim)))[1:])
 
 
+def scan_unimodal_loop(values: np.ndarray) -> bool:
+    """The grid's unimodality flag, one difference at a time: False at the first
+    fall (beyond 1e-12 relative) after a rise (beyond the same)."""
+    diffs = np.diff(values)
+    tol = 1e-12 * (1.0 + np.abs(values[:-1]) + np.abs(values[1:]))
+    rising = diffs > tol
+    falling = diffs < -tol
+    seen_rise = False
+    for r, f in zip(rising, falling):
+        if r:
+            seen_rise = True
+        elif f and seen_rise:
+            return False
+    return True
+
+
 def beta_star_lambert_mp(k: int, dps: int = 60) -> float:
     """beta_k from the stationary point of -log(1 - q^2)/q^k in closed form.
 
@@ -200,6 +217,19 @@ def log_cn_mp(n: int) -> float:
 
     with mp.workdps(45 + len(str(n))):
         return float(mp.loggamma(mp.mpf(n) / 2) - mp.log(mp.pi) / 2 - mp.loggamma((mp.mpf(n) - 1) / 2))
+
+
+def second_moment_sym_mp(beta: float, n: int, k: int, dps: int = 30) -> float:
+    """log E exp(a T^k), a = n beta^2 / 2, by mpmath quadrature over the overlap T,
+    whose density is proportional to (1 - t^2)^((n - 3)/2) on (-1, 1)."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a = mp.mpf(n) * mp.mpf(beta) ** 2 / 2
+        power = mp.mpf(n - 3) / 2
+        density = lambda t: (1 - t * t) ** power
+        num = mp.quad(lambda t: density(t) * mp.exp(a * t**k), [-1, 0, 1])
+        return float(mp.log(num / mp.quad(density, [-1, 0, 1])))
 
 
 def tail_logprob_near_sqrt_n_mp(a: float, n: int) -> float:

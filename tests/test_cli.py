@@ -423,6 +423,17 @@ def test_file_errors_exit_one_with_one_error_line(capsys, tmp_path, field, argv)
     assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "content", [b'{"model": "goe", "n": ', b'{"model": "g\xf6e", "n": 4}'], ids=["invalid-json", "not-utf8"]
+)
+def test_a_spec_file_that_is_not_json_exits_one_with_one_error_line(capsys, tmp_path, content):
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "sample", "--spec", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: spec: ") and err.count("\n") == 1
+
+
 def test_public_surface_resolves_and_cli_reports_package_version(capsys):
     import spiked_lab
 
@@ -434,9 +445,17 @@ def test_public_surface_resolves_and_cli_reports_package_version(capsys):
         for name, value in vars(spiked_lab).items()
         if not name.startswith("_") and not inspect.ismodule(value)
     }
-    assert bound - set(spiked_lab.__all__) == {"PackageNotFoundError", "version"}
+    assert bound - set(spiked_lab.__all__) == set()
     payload = run_json(capsys, "threshold", "--k", "2")
     assert payload["meta"]["package_version"] == spiked_lab.__version__
+
+
+def test_package_version_is_the_project_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    import spiked_lab
+
+    project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())["project"]
+    assert spiked_lab.__version__ == project["version"]
 
 
 def test_module_entry_point_runs():
@@ -594,9 +613,11 @@ def run(argv):
     return out.getvalue()
 
 
+metadata_before = "importlib.metadata" in sys.modules
 import spiked_lab, spiked_lab.cli
 
 report = {"after_import": loaded()}
+report["metadata_added"] = not metadata_before and "importlib.metadata" in sys.modules
 for argv in numpy_calls:
     run(argv)
 report["after_numpy_calls"] = loaded()
@@ -607,7 +628,8 @@ print(json.dumps(report))
 
 
 def test_sampling_and_experiments_never_load_scipy(capsys):
-    """A fresh interpreter: the import and every command, theory ones included, leave scipy unloaded."""
+    """A fresh interpreter: the import and every command, theory ones included, leave scipy unloaded,
+    and the import leaves ``importlib.metadata`` unloaded too."""
     numpy_calls = [
         ["threshold", "--k", "3"],
         ["sample", "--spec", '{"model": "sym_spiked", "n": 3, "k": 3, "strength": 1.0}'],
@@ -630,6 +652,7 @@ def test_sampling_and_experiments_never_load_scipy(capsys):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["after_import"] == []
+    assert report["metadata_added"] is False
     assert report["after_numpy_calls"] == []
     assert report["after_theory_calls"] == []
     for argv, payload in zip(_THEORY_CALLS, report["payloads"], strict=True):

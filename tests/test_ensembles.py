@@ -143,6 +143,26 @@ def test_spec_asym_spike_is_k_unit_vectors():
             EnsembleSpec(model="asym_spiked", n=6, k=3, strength=1.0, spike=bad)
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"model": "sym_spiked", "n": 4, "k": 3, "strength": -1.0}, "strength"),
+        ({"model": "goe", "n": 4, "spike": (1.0, 0.0, 0.0, 0.0)}, "spike"),
+    ],
+    ids=["negative-strength", "spike-on-goe"],
+)
+def test_spec_refuses_a_negative_strength_and_a_spike_without_a_spiked_model(kwargs, field):
+    with pytest.raises(ConfigError) as info:
+        EnsembleSpec(**kwargs)
+    assert info.value.field == field
+
+
+def test_sample_spiked_refuses_a_model_without_a_spike():
+    with pytest.raises(ConfigError) as info:
+        sample_spiked(EnsembleSpec(model="sym_noise", n=4, k=3), NoDraws())
+    assert info.value.field == "model"
+
+
 @pytest.mark.parametrize("model", ["sym_noise", "asym_noise", "sym_spiked", "asym_spiked"])
 def test_spec_refuses_tensors_over_the_entry_budget(model):
     with pytest.raises(ConfigError) as info:
@@ -374,14 +394,37 @@ def test_samplers_refuse_a_shape_over_the_budget_before_any_draw(draw):
         lambda n, rng: sample_sym_noise(n, 3, rng),
         lambda n, rng: sample_goe(n, rng),
         lambda n, rng: sample_asym_noise(n, 3, rng),
+        lambda n, rng: sample_hidden_clique(n, 1, None, rng),
     ],
-    ids=["sym_noise", "goe", "asym_noise"],
+    ids=["sym_noise", "goe", "asym_noise", "hidden_clique"],
 )
 @pytest.mark.parametrize("n", [0, -1, 2.5, True])
 def test_samplers_refuse_a_dimension_that_is_not_a_positive_integer(draw, n):
-    # n = 0 divided by zero in sqrt(2/n); n = -1 reached numpy's negative-dimension error
+    # n = 0 divided by zero in sqrt(2/n); n = -1 reached numpy's negative-dimension
+    # error; the clique sampler ended n = 2.5 and True in numpy TypeErrors
     with pytest.raises(ContractError, match="dimension must be an integer >= 1"):
         draw(n, NoDraws())
+
+
+@pytest.mark.parametrize("L", [0, 2.5, True])
+def test_hidden_clique_refuses_a_size_that_is_not_a_positive_integer(L):
+    with pytest.raises(ContractError, match="clique size L must be an integer >= 1"):
+        sample_hidden_clique(5, L, None, NoDraws())
+
+
+@pytest.mark.parametrize(
+    "members", [[1, 3.9], ["1", 3], [np.float64(1.0), 3], 7], ids=["3.9", "str", "float64", "not-a-list"]
+)
+def test_hidden_clique_refuses_members_that_are_not_vertex_indices(members):
+    # members went through int(), so [1, 3.9] planted the clique on {1, 3}
+    with pytest.raises(ContractError, match="clique members must be a sequence of vertex indices"):
+        sample_hidden_clique(5, 2, members, trial_rng(0, 0))
+
+
+def test_hidden_clique_takes_integer_members_of_any_integer_type_in_any_order():
+    want = sample_hidden_clique(5, 2, [1, 3], trial_rng(0, 0)).array
+    got = sample_hidden_clique(5, 2, (np.int64(3), 1), trial_rng(0, 0)).array
+    assert got.tobytes() == want.tobytes()
 
 
 # Sizes around the fold's 128-wide tiles, plus the degenerate ones.

@@ -253,6 +253,16 @@ def test_second_moment_sym_k3_matches_direct_quadrature():
     assert r.log_second_moment == pytest.approx(math.log(num / den), abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "n,k,beta", [(2, 4, 0.5), (2, 4, 2.0), (2, 6, 6.0), (4, 8, 1.5), (2, 10, 3.0), (4, 3, 1.5), (8, 10, 2.5)]
+)
+def test_second_moment_sym_at_small_n_matches_mpmath_quadrature(n, k, beta):
+    # at n small against k a numerator parameter of the series reaches a
+    # denominator one, so its first terms are summed whole before the mode
+    r = second_moment_sym(beta, n, k)
+    assert r.log_second_moment == pytest.approx(_oracles.second_moment_sym_mp(beta, n, k), rel=4e-15)
+
+
 def test_second_moment_zero_strength_is_exact_zero():
     for f in (second_moment_sym, second_moment_asym):
         r = f(0.0, 500, 3)
@@ -768,10 +778,13 @@ def test_experiment_spec_rejects_bool(field):
         ("test.threshold", {"statistic": "eig", "threshold": True}, {}),
         ("test.delta", {"statistic": "eig", "delta": True}, {}),
         ("strength", {"statistic": "eig", "delta": 0.15}, {"strength": True}),
+        ("test", {"delta": 0.15}, {}),
+        ("test.params", {"statistic": "eig", "delta": 0.15, "params": [1]}, {}),
+        ("test.delta", {"statistic": "eig", "delta": 0}, {}),
     ],
     ids=["samples-text", "samples-bool", "beta-text", "restarts-text", "iters-text",
          "samples-1", "samples-1e9", "restarts-0", "iters-0", "param-typo", "beta-negative",
-         "threshold-bool", "delta-bool", "strength-bool"],
+         "threshold-bool", "delta-bool", "strength-bool", "no-statistic", "params-list", "delta-0"],
 )
 def test_experiment_rejects_malformed_spec_values(field, test, h1):
     data = _eig_experiment_dict(test=test, trials=1)
@@ -803,6 +816,9 @@ def test_check_dim_and_order_reject_bool():
 def test_experiment_spec_validation():
     with pytest.raises(ConfigError):
         ExperimentSpec.from_json_dict(_eig_experiment_dict(extra=1))
+    with pytest.raises(ConfigError) as err:
+        ExperimentSpec.from_json_dict([_eig_experiment_dict()])
+    assert err.value.field == "experiment"
     for missing in ("h0", "h1", "test", "trials"):
         bad = _eig_experiment_dict()
         del bad[missing]

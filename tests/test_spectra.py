@@ -52,6 +52,11 @@ def test_eigvals_rejects_asymmetric():
             eigvals_sym(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
+def test_eigvals_refuses_an_array_that_is_not_a_matrix():
+    with pytest.raises(ContractError, match="square matrix, got order 3"):
+        eigvals_sym(np.zeros((2, 2, 2)))
+
+
 def test_eigvals_diag_exact():
     d = np.diag([3.0, -1.0, 0.5])
     assert np.array_equal(eigvals_sym(d).eigenvalues, np.array([3.0, 0.5, -1.0]))
@@ -69,6 +74,12 @@ def test_ks_distance_rejects_nan():
         ks_distance([np.nan, 0.0], [0.0, 1.0])
     with pytest.raises(ContractError, match="NaN"):
         ks_distance([0.0, 1.0], np.array([[0.5, np.nan]]))
+
+
+def test_ks_distance_refuses_an_empty_sample():
+    for a, b in (([], [0.0, 1.0]), ([0.0, 1.0], [])):
+        with pytest.raises(ContractError, match="nonempty"):
+            ks_distance(a, b)
 
 
 def test_ks_distance_matches_scipy():
@@ -104,6 +115,11 @@ def test_goe_bulk_close_to_semicircle():
 def test_spectrum_validates_order():
     with pytest.raises(ContractError):
         Spectrum(eigenvalues=np.array([1.0, 2.0]))
+
+
+def test_spectrum_refuses_an_empty_array():
+    with pytest.raises(ContractError, match="nonempty 1-d"):
+        Spectrum(eigenvalues=[])
 
 
 def test_spectrum_rejects_non_finite():

@@ -128,6 +128,8 @@ def test_symmetric_tensor_checks_a_high_order_in_k_minus_one_reads(n, k):
 def test_unit_vector_validation():
     with pytest.raises(ContractError):
         UnitVector([1.0, 1.0])
+    with pytest.raises(ContractError, match="nonempty 1-d"):
+        UnitVector([])
     v = UnitVector.normalize([3.0, 4.0])
     assert v.dim == 2
     assert abs(np.linalg.norm(v.coords) - 1.0) <= UnitVector.NORM_TOL
@@ -160,6 +162,16 @@ def test_outer_power_bits_match_sorted_index_product(n, k):
     v /= np.linalg.norm(v)
     v[-1] = -0.0
     assert outer_power(v, k).array.tobytes() == outer_power_sorted_product(v, k).tobytes()
+
+
+def test_outer_power_symmetrize_and_entry_refuse_the_wrong_order():
+    with pytest.raises(ContractError, match="expects a vector"):
+        outer_power(np.eye(2), 2)
+    with pytest.raises(ContractError, match="order <= 10, got k=11"):
+        symmetrize(np.zeros((1,) * 11))
+    for indices in ((0,), (0, 0, 0)):
+        with pytest.raises(ContractError, match="expected 2 indices"):
+            DenseTensor(np.eye(2)).entry(*indices)
 
 
 def test_outer_power_accepts_unit_vector():
@@ -504,8 +516,9 @@ def test_json_roundtrip():
         '{"k": "x", "n": 2, "entries": [1, 2, 3, 4]}',
         '{"k": 2, "n": "x", "entries": [1, 2, 3, 4]}',
         '{"k": 2, "n": 2, "entries": [1, 2, 3, null]}',
+        '{"k": 2, "n": 2}',
     ],
-    ids=["truncated", "not-an-object", "entries-text", "k-text", "n-text", "entries-null"],
+    ids=["truncated", "not-an-object", "entries-text", "k-text", "n-text", "entries-null", "entries-missing"],
 )
 def test_json_malformed_input_raises_contract_error(text):
     with pytest.raises(ContractError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import beta_star_lambert_mp, g_lambda_max, pinned_to_brentq
+from _oracles import beta_star_lambert_mp, g_lambda_max, pinned_to_brentq, scan_unimodal_loop
 from spiked_lab import thresholds
 from spiked_lab.errors import ContractError, NumericalFailure
 from spiked_lab.thresholds import (
@@ -80,6 +80,45 @@ def test_an_order_too_long_to_print_is_named_by_its_bit_length():
     # repr of an int past Python's 4,300-digit limit raised a bare ValueError
     with pytest.raises(ContractError, match=r"got a 16610-bit integer"):
         beta_star(10**5000)
+
+
+@pytest.mark.parametrize(
+    "values, unimodal",
+    [
+        ([3.0, 2.0, 1.0, 2.0, 3.0], True),
+        ([0.0, 1.0, 0.0], False),  # a fall after a rise
+        ([2.0, 1.0, 1.0 + 1e-13, 1.0, 2.0], True),  # a bump within the 1e-12 relative tolerance is flat
+        ([2.0, 1.0, 1.0 + 1e-11, 1.0, 2.0], False),  # the same bump past it is a rise then a fall
+        ([1.0, 2.0, 2.0 - 1e-13, 3.0], True),
+        ([], True),
+        ([1.0], True),
+    ],
+)
+def test_unimodal_scan_flags_a_fall_after_a_rise(values, unimodal):
+    values = np.array(values)
+    assert thresholds._scan_unimodal(values) is scan_unimodal_loop(values) is unimodal
+
+
+_FLAT_STEPS = st.sampled_from([0.0, 1e-14, -1e-14, 5e-13, -5e-13])
+_SEQUENCES = st.one_of(
+    st.lists(st.floats(-1e300, 1e300), max_size=30).map(np.array),
+    st.tuples(st.floats(-2.0, 2.0), st.lists(st.one_of(_FLAT_STEPS, st.floats(-5.0, 5.0)), max_size=40)).map(
+        lambda t: t[0] + np.cumsum([0.0, *t[1]])
+    ),
+)
+
+
+@settings(max_examples=300)
+@given(_SEQUENCES)
+def test_unimodal_scan_agrees_with_the_loop(values):
+    assert thresholds._scan_unimodal(values) is scan_unimodal_loop(values)
+
+
+def test_unimodal_scan_agrees_with_the_loop_on_the_threshold_grid():
+    qs = np.linspace(thresholds._Q_LO, thresholds._Q_HI, thresholds._GRID_POINTS)
+    for k in [*range(2, 40), *range(40, 10**5, 4999), 10**5]:
+        vals = thresholds._log_objective(qs, k)
+        assert thresholds._scan_unimodal(vals) is scan_unimodal_loop(vals) is True, k
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 10, 100])
