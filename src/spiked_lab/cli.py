@@ -57,18 +57,21 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _load_spec_arg(raw: str) -> dict:
-    """Accept either inline JSON or a path to a JSON file."""
+    """Accept either inline JSON or a path to a JSON file; either must hold a JSON object."""
     candidate = raw.strip()
     if candidate.startswith("{"):
         try:
-            return json.loads(candidate)
+            return json.loads(candidate)  # a JSON text that starts with "{" is an object
         except ValueError as exc:  # JSONDecodeError, or an integer past the int-to-string digit limit
             raise ConfigError("spec", f"inline JSON is invalid: {exc}") from exc
     with _file_errors("spec", raw), open(raw, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise ConfigError("spec", f"{raw} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("spec", f"expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _cmd_threshold(args) -> dict:

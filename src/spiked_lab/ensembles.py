@@ -32,7 +32,7 @@ import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -139,17 +139,10 @@ class EnsembleSpec:
 
     def _normalize_spike(self, spike):
         if self.model == "hidden_clique":
-            try:  # operator.index refuses 1.5, "3" and inf rather than rounding them
-                members = tuple(operator.index(i) for i in spike)
-            except TypeError:
-                raise ConfigError("spike", "clique spike must be a list of vertex indices") from None
-            if len(members) != int(self.strength):
-                raise ConfigError("spike", f"clique has {len(members)} vertices but L={int(self.strength)}")
-            if len(set(members)) != len(members):
-                raise ConfigError("spike", "clique vertices must be distinct")
-            if members and not (0 <= min(members) and max(members) < self.n):
-                raise ConfigError("spike", f"clique vertices must lie in [0, {self.n})")
-            return members
+            try:
+                return _clique_members(spike, int(self.strength), self.n)
+            except ContractError as exc:
+                raise ConfigError("spike", str(exc)) from None
         if self.model == "sym_spiked":
             vec = self._as_unit(spike, "spike")
             return tuple(vec)
@@ -171,39 +164,35 @@ class EnsembleSpec:
         return arr
 
     def to_json_dict(self) -> dict:
-        spike = self.spike
-        if spike is not None and self.model in _SPIKED:
-            spike = [list(r) for r in spike] if self.model == "asym_spiked" else list(spike)
-        elif spike is not None:
-            spike = list(spike)
-        return {
-            "model": self.model,
-            "n": self.n,
-            "k": self.k,
-            "strength": self.strength,
-            "spike": spike,
-            "seed": self.seed,
-        }
+        """The fields by name; a pinned spike stays a tuple, which JSON writes as a list."""
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, obj) -> "EnsembleSpec":
         if not isinstance(obj, dict):
             raise ConfigError("spec", "ensemble spec must be a JSON object")
-        known = {"model", "n", "k", "strength", "spike", "seed"}
-        extra = set(obj) - known
+        extra = set(obj) - {f.name for f in fields(cls)}
         if extra:
-            raise ConfigError(sorted(extra)[0], "unknown field in ensemble spec")
-        for required in ("model", "n"):
-            if required not in obj:
-                raise ConfigError(required, "required field missing from ensemble spec")
-        return cls(
-            model=obj["model"],
-            n=obj["n"],
-            k=obj.get("k", 2),
-            strength=obj.get("strength", 0.0),
-            spike=obj.get("spike"),
-            seed=obj.get("seed", 0),
-        )
+            raise ConfigError(min(extra, key=str), "unknown field in ensemble spec")
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in obj:
+                raise ConfigError(f.name, "required field missing from ensemble spec")
+        return cls(**obj)
+
+
+def _clique_members(U, L: int, n: int) -> tuple[int, ...]:
+    """The clique vertex set U as a tuple of L distinct indices in [0, n), in the given order."""
+    try:  # operator.index refuses 3.9, "1" and np.float64(1.0) rather than rounding them
+        members = tuple(operator.index(i) for i in U)
+    except TypeError:
+        raise ContractError("clique members must be a sequence of vertex indices") from None
+    if len(members) != L:
+        raise ContractError(f"clique has {len(members)} vertices but L={L}")
+    if len(set(members)) != L:
+        raise ContractError("clique members must be distinct")
+    if members and not (0 <= min(members) and max(members) < n):
+        raise ContractError(f"clique members must lie in [0, {n})")
+    return members
 
 
 def sample_sphere(n: int, rng: np.random.Generator) -> UnitVector:
@@ -288,18 +277,9 @@ def sample_hidden_clique(
     if _check_count(L, "clique size L", 1) > n:
         raise ContractError(f"clique size must satisfy 1 <= L <= n, got L={_shown(L)}, n={_shown(n)}")
     _check_budget(n, 2)
+    pinned = None if U is None else _clique_members(U, L, n)
     x = _symmetric(n, 2, rng.standard_normal((n, n)), math.sqrt(2.0 / n))
-    if U is None:
-        members = np.sort(rng.choice(n, size=L, replace=False))
-    else:
-        try:  # operator.index refuses 3.9, "1" and np.float64(1.0) rather than rounding them
-            members = np.asarray(sorted(operator.index(i) for i in U))
-        except TypeError:
-            raise ContractError("clique members must be a sequence of vertex indices") from None
-        if members.size != L or members[0] < 0 or members[-1] >= n:
-            raise ContractError("clique member set does not match L or lies outside [0, n)")
-        if np.unique(members).size != members.size:
-            raise ContractError("clique members must be distinct")
+    members = np.sort(rng.choice(n, size=L, replace=False)) if pinned is None else np.asarray(pinned)
     x[np.ix_(members, members)] += 1.0 / math.sqrt(n)
     return SymmetricTensor(x, check=False)
 

@@ -6,8 +6,9 @@ sizing errors (refusing to allocate absurd tensors), numerical failures
 always naming the offending field).
 """
 
+import contextlib
 import math
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class SpikedLabError(Exception):
@@ -32,7 +33,6 @@ class ConfigError(SpikedLabError, ValueError):
     def __init__(self, field, message):
         super().__init__(f"{field}: {message}")
         self.field = field
-        self.reason = message
 
 
 def _shown(value) -> str:
@@ -58,15 +58,25 @@ def _check_count(value, name: str, lo: int) -> int:
     return int(value)
 
 
+def _check_real(value, name: str) -> float:
+    """A finite real number as a float; bools are refused, not read as 0 or 1."""
+    with contextlib.suppress(OverflowError):  # an integer past the float range
+        if isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    raise ContractError(f"{name} must be a finite number, got {_shown(value)}")
+
+
 def _finite_number(value, field: str) -> float:
-    """A finite spec number as a float; bools are refused, not read as 0 or 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(field, f"must be a finite number, got {value!r}")
-    return float(value)
+    """``_check_real`` for a spec field, refused as a ConfigError on ``field``."""
+    try:
+        return _check_real(value, field)
+    except ContractError:
+        raise ConfigError(field, f"must be a finite number, got {_shown(value)}") from None
 
 
 def _check_strength(value, name: str) -> float:
-    """A signal strength: finite and >= 0."""
-    if not math.isfinite(value) or value < 0:
+    """A signal strength: a finite real number >= 0."""
+    value = _check_real(value, name)
+    if value < 0:
         raise ContractError(f"{name} must be finite and >= 0, got {value!r}")
-    return float(value)
+    return value

@@ -15,7 +15,6 @@ import functools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from numbers import Real
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .errors import (
     SizingError,
     _check_count,
     _check_order,
+    _check_real,
     _check_strength,
     _finite_number,
 )
@@ -116,7 +116,8 @@ def first_coord_tail_logprob(a: float, n: int) -> float:
     rounding can make it rise, by less than 1e-14 of its size.
     """
     n = _check_dimension(n)
-    if not math.isfinite(a) or abs(a) > 1.0:
+    a = _check_real(a, "a")
+    if abs(a) > 1.0:
         raise ContractError(f"a must lie in [-1, 1], got {a!r}")
     if a == 1.0:
         return float("-inf")
@@ -433,10 +434,7 @@ def trace_test(x, beta: float, threshold: float | None = None) -> int:
     the midpoint. An explicit ``threshold`` must be a finite number.
     """
     beta = _check_strength(beta, "beta")
-    if threshold is None:
-        threshold = 0.5 * beta
-    elif isinstance(threshold, bool) or not isinstance(threshold, Real) or not -math.inf < threshold < math.inf:
-        raise ContractError(f"threshold must be a finite number, got {threshold!r}")
+    threshold = 0.5 * beta if threshold is None else _check_real(threshold, "threshold")
     return int(trace_stat(x) >= threshold)
 
 
@@ -448,21 +446,21 @@ def trace_tv(beta: float) -> float:
 
 def spectral_test_eig(x, delta: float = 0.15) -> int:
     """Accept when the top eigenvalue clears the bulk edge by delta."""
-    if not math.isfinite(delta) or delta <= 0:
+    if _check_real(delta, "delta") <= 0:
         raise ContractError(f"delta must be finite and > 0, got {delta!r}")
     return int(eigvals_sym(x).largest >= 2.0 + delta)
 
 
 STATISTICS = ("eig", "trace", "lr", "frob", "opnorm")
 _PARAMS = {"lr": ("beta", "samples"), "opnorm": ("restarts", "iters")}  # the others take none
+_NEEDS = {"eig": (True, True), "trace": (False, True), "opnorm": (True, False)}  # (symmetric, matrix)
 
 
-def _int_param(params: dict, name: str, default: int, lo: int, hi: float = math.inf) -> int:
-    """A spec integer in [lo, hi], checked when the spec is parsed, before any sampling."""
+def _int_param(params: dict, name: str, default: int, lo: int) -> int:
+    """A spec integer in [lo, 10^8], checked when the spec is parsed, before any sampling."""
     value = params.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
-        bounds = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
-        raise ConfigError(f"test.params.{name}", f"must be an integer {bounds}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= DEFAULT_ENTRY_BUDGET:
+        raise ConfigError(f"test.params.{name}", f"must be an integer in [{lo}, {DEFAULT_ENTRY_BUDGET}], got {value!r}")
     return int(value)
 
 
@@ -496,7 +494,7 @@ def make_statistic(name: str, params: dict | None = None):
         beta = _finite_number(beta, "test.params.beta")
         if beta < 0:
             raise ConfigError("test.params.beta", f"must be >= 0, got {beta!r}")
-        n_samples = _int_param(params, "samples", 2048, 2, DEFAULT_ENTRY_BUDGET)
+        n_samples = _int_param(params, "samples", 2048, 2)
 
         def lr_stat(x, *, spec, trial, context=0, **kw):
             rng = trial_rng(spec.seed, trial, STREAM_TEST, context)
@@ -527,6 +525,11 @@ class ExperimentSpec:
 
     def __post_init__(self):
         make_statistic(self.statistic, self.params)  # a bad name or parameter fails before any draw
+        symmetric, matrix = _NEEDS.get(self.statistic, (False, False))
+        for hyp, ens in (("h0", self.h0), ("h1", self.h1)):
+            if symmetric and ens.model in ("asym_noise", "asym_spiked") or matrix and ens.k != 2:
+                need = f"{self.statistic} needs a {'symmetric ' * symmetric}{'matrix' if matrix else 'tensor'}"
+                raise ConfigError("test.statistic", f"{need}; {hyp} is {ens.model!r} at k={ens.k}")
         if type(self.trials) is not int or not 1 <= self.trials <= DEFAULT_ENTRY_BUDGET:
             raise ConfigError("trials", f"must be an integer in [1, {DEFAULT_ENTRY_BUDGET}], got {self.trials!r}")
         # streams are keyed by 2 * seed + hypothesis in 64 bits

@@ -543,6 +543,8 @@ def operator_norm_lb(
         raise ContractError(f"operator_norm_lb needs a list of one generator per tensor, for {len(xs)} tensors")
     restarts = _check_count(restarts, "restarts", 1)
     iters = _check_count(iters, "iters", 1)
+    if max(restarts, iters) > DEFAULT_ENTRY_BUDGET:
+        raise SizingError(f"restarts={restarts}, iters={iters}: each must be at most {DEFAULT_ENTRY_BUDGET}")
     rngs = [np.random.default_rng(0) if r is None else r for r in rngs]
     per_block = min(restarts, max(1, _BLOCK_ENTRIES // n ** (k - 1)))
     trials = _power_trials(n, k, restarts)
@@ -617,7 +619,7 @@ def tensor_from_json(text: str) -> DenseTensor:
     """Inverse of ``tensor_to_json``; malformed input raises ContractError."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (TypeError, ValueError) as exc:  # not text, not UTF-8, or not JSON
         raise ContractError(f"tensor JSON is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ContractError("tensor JSON must be an object with fields 'k', 'n', 'entries'")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError, NumericalFailure, _check_order, _check_strength
+from .errors import ContractError, NumericalFailure, _check_order, _check_real, _check_strength
 
 _Q_LO = 1e-10
 _Q_HI = 1.0 - 1e-12
@@ -120,7 +120,7 @@ class RateFunctionPoint:
 def f_beta(q, beta: float, k: int):
     """Symmetric variational function beta^2 q^k / 2 + log(1 - q^2) / 2, for |q| < 1."""
     k = _check_order(k)
-    _check_strength(beta, "beta")
+    beta = _check_strength(beta, "beta")
     arr = np.asarray(q, dtype=np.float64)
     if not np.all(np.abs(arr) < 1.0):  # a NaN overlap fails too
         raise ContractError("q must satisfy |q| < 1")
@@ -130,7 +130,7 @@ def f_beta(q, beta: float, k: int):
 
 def g_lambda(qs, lam: float) -> float:
     """Asymmetric variational function lambda^2 prod(q_i) + sum log(1 - q_i^2)/2, for |q_i| < 1."""
-    _check_strength(lam, "lambda")
+    lam = _check_strength(lam, "lambda")
     arr = np.asarray(qs, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
         raise ContractError("g_lambda expects a vector of k >= 2 overlaps")
@@ -220,7 +220,7 @@ def g_lambda_critical(lam: float, k: int) -> list[CriticalPoint]:
     Below lambda_k every returned value is negative.
     """
     k = _check_order(k)
-    _check_strength(lam, "lambda")
+    lam = _check_strength(lam, "lambda")
 
     def phi(q):
         return lam**2 * q ** (k - 2) * (1.0 - q * q) - 1.0
@@ -241,7 +241,8 @@ def sphere_rate(a: float) -> RateFunctionPoint:
 
     Returns -inf at |a| = 1; |a| > 1 is a domain error.
     """
-    if not math.isfinite(a) or abs(a) > 1.0:
+    a = _check_real(a, "a")
+    if abs(a) > 1.0:
         raise ContractError(f"a must lie in [-1, 1], got {a!r}")
     if abs(a) == 1.0:
         return RateFunctionPoint(a=a, value=float("-inf"))

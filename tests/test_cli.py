@@ -434,6 +434,19 @@ def test_a_spec_file_that_is_not_json_exits_one_with_one_error_line(capsys, tmp_
     assert err.startswith("error: spec: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("content", ["[1, 2]", "3", "null"])
+@pytest.mark.parametrize(
+    "argv", [("sample", "--seed", "3"), ("experiment", "--trials", "2"), ("sample",), ("experiment",)]
+)
+def test_a_spec_file_that_is_not_an_object_exits_one_with_one_error_line(capsys, tmp_path, argv, content):
+    # with --seed or --trials the override merge ended in "TypeError: 'list' object is not a mapping"
+    path = tmp_path / "spec.json"
+    path.write_text(content)
+    code, out, err = run_cli(capsys, argv[0], "--spec", str(path), *argv[1:])
+    assert code == 1 and out == ""
+    assert err.startswith("error: spec: expected a JSON object") and err.count("\n") == 1
+
+
 def test_public_surface_resolves_and_cli_reports_package_version(capsys):
     import spiked_lab
 

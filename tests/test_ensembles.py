@@ -190,10 +190,37 @@ def test_spec_json_roundtrip_and_strictness():
     data = json.loads(json.dumps(spec.to_json_dict()))
     assert set(data) == {"model", "n", "k", "strength", "spike", "seed"}
     assert EnsembleSpec.from_json_dict(data) == spec
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as info:
         EnsembleSpec.from_json_dict({**data, "extra": 1})
-    with pytest.raises(ConfigError):
-        EnsembleSpec.from_json_dict({"n": 4})  # model missing
+    assert info.value.field == "extra"
+    for missing in ("model", "n"):
+        with pytest.raises(ConfigError) as info:
+            EnsembleSpec.from_json_dict({f: v for f, v in data.items() if f != missing})
+        assert info.value.field == missing
+
+
+_HALF = math.sqrt(0.5)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        EnsembleSpec(model="goe", n=4, seed=2),
+        EnsembleSpec(model="sym_noise", n=3, k=3),
+        EnsembleSpec(model="asym_noise", n=3, k=4, seed=2**64 - 1),
+        EnsembleSpec(model="sym_spiked", n=2, k=3, strength=1.5),
+        EnsembleSpec(model="sym_spiked", n=2, k=3, strength=1.5, spike=[_HALF, _HALF]),
+        EnsembleSpec(model="asym_spiked", n=2, k=2, strength=0.5),
+        EnsembleSpec(model="asym_spiked", n=2, k=2, strength=0.5, spike=[[_HALF, _HALF], [1, 0]]),
+        EnsembleSpec(model="hidden_clique", n=6, strength=3),
+        EnsembleSpec(model="hidden_clique", n=6, strength=3.0, spike=[4, 0, 2]),
+    ],
+    ids=lambda spec: f"{spec.model}{'-pinned' if spec.spike else ''}",
+)
+def test_every_spec_survives_a_json_round_trip(spec):
+    data = spec.to_json_dict()
+    assert list(data) == ["model", "n", "k", "strength", "spike", "seed"]
+    assert EnsembleSpec.from_json_dict(json.loads(json.dumps(data))) == spec
 
 
 def test_spec_defaults_from_json():
@@ -419,6 +446,19 @@ def test_hidden_clique_refuses_members_that_are_not_vertex_indices(members):
     # members went through int(), so [1, 3.9] planted the clique on {1, 3}
     with pytest.raises(ContractError, match="clique members must be a sequence of vertex indices"):
         sample_hidden_clique(5, 2, members, trial_rng(0, 0))
+
+
+@pytest.mark.parametrize(
+    "members", [[1, 3.9], 7, [1], [1, 2, 3], [3, 3], [-1, 2], [2, 5]],
+    ids=["3.9", "not-a-list", "too-few", "too-many", "repeated", "negative", "past-n"],
+)
+def test_spec_and_sampler_refuse_a_clique_member_set_alike_before_any_draw(members):
+    with pytest.raises(ContractError) as drawn:
+        sample_hidden_clique(5, 2, members, NoDraws())
+    with pytest.raises(ConfigError) as parsed:
+        EnsembleSpec(model="hidden_clique", n=5, strength=2, spike=members)
+    assert parsed.value.field == "spike"
+    assert str(parsed.value) == f"spike: {drawn.value}"
 
 
 def test_hidden_clique_takes_integer_members_of_any_integer_type_in_any_order():

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -17,8 +18,9 @@ from scipy.special import betaln, hyp0f1, logsumexp
 from scipy.stats import norm
 
 import _oracles
-from spiked_lab import inference
+from spiked_lab import ensembles, inference
 from spiked_lab.ensembles import (
+    MODELS,
     STREAM_SAMPLE,
     STREAM_TEST,
     EnsembleSpec,
@@ -32,6 +34,7 @@ from spiked_lab.errors import ConfigError, ContractError, NumericalFailure, Sizi
 from spiked_lab.tensors import SymmetricTensor
 from spiked_lab.inference import (
     _BLOCK_ENTRIES,
+    STATISTICS,
     ExperimentSpec,
     _brent_root,
     _check_order,
@@ -50,6 +53,7 @@ from spiked_lab.inference import (
     trace_test,
     trace_tv,
 )
+from spiked_lab.thresholds import f_beta, g_lambda, g_lambda_critical, sphere_rate
 
 # --- first-coordinate density and tail ----------------------------------------
 
@@ -772,6 +776,9 @@ def test_experiment_spec_rejects_bool(field):
         ("test.params.samples", {"statistic": "lr", "params": {"samples": 10**9}}, {}),
         ("test.params.restarts", {"statistic": "opnorm", "threshold": 1.0, "params": {"restarts": 0}}, {}),
         ("test.params.iters", {"statistic": "opnorm", "threshold": 1.0, "params": {"iters": 0}}, {}),
+        # refused when the spec is parsed: restarts = 10^12 on goe n = 3 ran past 20 s
+        ("test.params.restarts", {"statistic": "opnorm", "threshold": 1.0, "params": {"restarts": 10**8 + 1}}, {}),
+        ("test.params.iters", {"statistic": "opnorm", "threshold": 1.0, "params": {"iters": 10**15}}, {}),
         ("test.params.iterz",
          {"statistic": "opnorm", "threshold": 1.0, "params": {"restarts": 1, "iterz": -3}}, {}),
         ("test.params.beta", {"statistic": "lr", "params": {"beta": -1}}, {}),
@@ -783,7 +790,8 @@ def test_experiment_spec_rejects_bool(field):
         ("test.delta", {"statistic": "eig", "delta": 0}, {}),
     ],
     ids=["samples-text", "samples-bool", "beta-text", "restarts-text", "iters-text",
-         "samples-1", "samples-1e9", "restarts-0", "iters-0", "param-typo", "beta-negative",
+         "samples-1", "samples-1e9", "restarts-0", "iters-0", "restarts-1e8+1", "iters-1e15",
+         "param-typo", "beta-negative",
          "threshold-bool", "delta-bool", "strength-bool", "no-statistic", "params-list", "delta-0"],
 )
 def test_experiment_rejects_malformed_spec_values(field, test, h1):
@@ -801,6 +809,76 @@ def test_experiment_spec_seed_below_2_63():
     with pytest.raises(ConfigError) as err:
         ExperimentSpec.from_json_dict(_eig_experiment_dict(seed=2**63))
     assert err.value.field == "seed"
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """The trial sampler made to fail if it is called: a refused spec must draw nothing."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial was sampled")
+
+    monkeypatch.setattr(ensembles, "sample_trial", refuse)
+
+
+# Every model, at k = 2 and, where it has one, at k = 3.
+MODEL_ORDERS = [(m, k) for m in MODELS for k in ((2,) if m in ("goe", "hidden_clique") else (2, 3))]
+
+
+@pytest.mark.parametrize("hyp", ["h0", "h1"])
+@pytest.mark.parametrize("model,k", MODEL_ORDERS)
+@pytest.mark.parametrize("statistic", STATISTICS)
+def test_a_statistic_that_cannot_read_a_model_is_refused_at_parse_time(no_draws, statistic, model, k, hyp):
+    # eig on asym_noise, eig on a k = 3 tensor and opnorm on asym_noise sampled
+    # first and then failed with a message that named no field
+    symmetric = not model.startswith("asym")
+    reads = {"eig": symmetric and k == 2, "trace": k == 2, "opnorm": symmetric}.get(statistic, True)
+    other = EnsembleSpec(model="goe", n=3)
+    ens = EnsembleSpec(model=model, n=3, k=k, strength=1.0)
+    pair = {"h0": ens, "h1": other} if hyp == "h0" else {"h0": other, "h1": ens}
+    make = functools.partial(
+        ExperimentSpec, **pair, statistic=statistic, threshold=1.0, trials=1,
+        params={"beta": 1.0} if statistic == "lr" else None,
+    )
+    if reads:
+        assert make().statistic == statistic
+        return
+    with pytest.raises(ConfigError) as err:
+        make()
+    assert err.value.field == "test.statistic"
+    assert f"{hyp} is {model!r} at k={k}" in str(err.value)
+
+
+_M = np.eye(2)
+REAL_ARGUMENTS = {
+    "second_moment_sym": lambda v: second_moment_sym(v, 10, 3),
+    "second_moment_asym": lambda v: second_moment_asym(v, 10, 3),
+    "likelihood_ratio_mc": lambda v: likelihood_ratio_mc(_M, v, 4, np.random.default_rng(0)),
+    "trace_tv": trace_tv,
+    "trace_test": lambda v: trace_test(_M, v),
+    "spectral_test_eig": lambda v: spectral_test_eig(_M, v),
+    "first_coord_tail_logprob": lambda v: first_coord_tail_logprob(v, 10),
+    "sphere_rate": sphere_rate,
+    "f_beta": lambda v: f_beta(0.5, v, 3),
+    "g_lambda": lambda v: g_lambda([0.1, 0.2], v),
+    "g_lambda_critical": lambda v: g_lambda_critical(v, 3),
+}
+
+
+@pytest.mark.parametrize("bad", ["x", None, True, 10**400], ids=["text", "None", "True", "1e400"])
+@pytest.mark.parametrize("name", sorted(REAL_ARGUMENTS))
+def test_a_real_argument_refuses_what_is_not_a_finite_number(name, bad):
+    # "x" and None ended in a raw TypeError, 10^400 in an OverflowError, and
+    # True was read as 1.0
+    with pytest.raises(ContractError, match="must be a finite number"):
+        REAL_ARGUMENTS[name](bad)
+
+
+@pytest.mark.parametrize("name", sorted(REAL_ARGUMENTS))
+def test_a_real_argument_reads_ints_and_numpy_floats_as_their_value(name):
+    call = REAL_ARGUMENTS[name]
+    assert call(1) == call(1.0)
+    assert call(np.float64(0.5)) == call(0.5)
 
 
 def test_check_dim_and_order_reject_bool():

@@ -314,6 +314,16 @@ def test_operator_norm_refuses_bad_counts(field, bad):
         operator_norm_lb(SymmetricTensor(np.eye(3)), **{field: bad})
 
 
+@pytest.mark.parametrize("field", ["restarts", "iters"])
+def test_operator_norm_refuses_counts_over_the_entry_budget_before_any_draw(field):
+    class NoStarts:
+        def standard_normal(self, *args, **kwargs):
+            raise AssertionError("a start vector was drawn")
+
+    with pytest.raises(SizingError, match=f"{field}={10**8 + 1}"):
+        operator_norm_lb(SymmetricTensor(np.eye(3)), rng=NoStarts(), **{field: 10**8 + 1})
+
+
 def test_operator_norm_is_lower_bound_for_matrices():
     rng = np.random.default_rng(99)
     for trial in range(5):
@@ -517,8 +527,11 @@ def test_json_roundtrip():
         '{"k": 2, "n": "x", "entries": [1, 2, 3, 4]}',
         '{"k": 2, "n": 2, "entries": [1, 2, 3, null]}',
         '{"k": 2, "n": 2}',
+        {"k": 2, "n": 2, "entries": [1, 2, 3, 4]},
+        b"\xff",
     ],
-    ids=["truncated", "not-an-object", "entries-text", "k-text", "n-text", "entries-null", "entries-missing"],
+    ids=["truncated", "not-an-object", "entries-text", "k-text", "n-text", "entries-null", "entries-missing",
+         "not-text", "not-utf8"],
 )
 def test_json_malformed_input_raises_contract_error(text):
     with pytest.raises(ContractError):
