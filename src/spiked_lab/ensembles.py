@@ -15,7 +15,10 @@ neither on the worker count nor, where OpenBLAS is found, on the BLAS
 thread count. A statistic may take a block of consecutive trials of one
 spec at once (``opnorm`` does, one stacked power iteration a block); each
 trial's value keeps the bits it has alone, so how the trials fall into
-blocks, which the worker count decides, changes no result.
+blocks, which the worker count decides, changes no result. Every batch runs
+through one evaluator, ``_evaluate``: a non-finite statistic, or an overflow
+or invalid operation inside one, is a NumericalFailure naming its trial,
+never a value.
 
 Within a trial the noise tensor is always drawn before any spike direction,
 so a spiked model with strength 0 produces bit-identically the same tensor
@@ -37,7 +40,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, SizingError, _check_count, _check_order, _finite_number, _shown
+from .errors import ConfigError, ContractError, NumericalFailure, SizingError
+from .errors import _check_count, _check_order, _finite_number, _shown
 from .tensors import _MAX_ORDER, _MAX_SYM_ORDER, DEFAULT_ENTRY_BUDGET, DenseTensor, SymmetricTensor, UnitVector
 from .tensors import _check_budget, _symmetric
 
@@ -444,32 +448,50 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
-def _evaluate(jobs: Sequence[tuple], workers: int) -> tuple[tuple[SampleBatch, ...], int | None]:
-    """Evaluate (spec, trials, statistic, context) jobs on one pool of worker threads.
+def _evaluate(jobs: Sequence[tuple], workers: int | None) -> tuple[tuple[SampleBatch, ...], int, int | None]:
+    """Evaluate (spec, trials, statistic, context, label) jobs on one pool of worker threads.
 
-    A trial's value is ``statistic(tensor, spec=..., trial=..., context=...)``
-    on its ``sample_trial`` tensor. The (job, trial) cells, in job order,
-    are cut into at most ``workers`` contiguous ranges, one per worker
-    thread, and each value lands in its job's preallocated array, so the
-    outcome is identical for any worker count. The serial case is one range.
-    A block statistic gets a range's consecutive trials of one job
-    ``per_block(spec)`` at a time; any other statistic gets one trial at a
-    time. A worker stops at its first failing block, and the failure of the
-    lowest range is raised. Returns the batches and the BLAS hold (1, or
-    None where no OpenBLAS is found).
+    ``workers`` is resolved before any allocation or thread. A trial's value
+    is ``statistic(tensor, spec=..., trial=..., context=...)`` on its
+    ``sample_trial`` tensor. The (job, trial) cells, in job order, are cut
+    into at most ``workers`` contiguous ranges, one per worker thread, and
+    each value lands in its job's preallocated array, so the outcome is
+    identical for any worker count. A block statistic gets a range's
+    consecutive trials of one job ``per_block(spec)`` at a time; any other
+    statistic gets one trial at a time. Each call runs with numpy's error
+    state, which is per thread, raising on overflow and invalid operations;
+    a block that raises is rerun one trial at a time with the same bits. The
+    first failing trial, raising or non-finite, is a NumericalFailure worded
+    by ``label.format(what, trial)``; a worker stops there, and the failure
+    of the lowest range is raised. Returns the batches, the resolved worker
+    count and the BLAS hold (1, or None where no OpenBLAS is found).
     """
-    offsets = list(itertools.accumulate((trials for _, trials, _, _ in jobs), initial=0))
-    values = [np.empty(trials, dtype=np.float64) for _, trials, _, _ in jobs]
+    workers = _resolve_workers(workers)
+    offsets = list(itertools.accumulate((trials for _, trials, *_ in jobs), initial=0))
+    values = [np.empty(trials, dtype=np.float64) for _, trials, *_ in jobs]
+
+    def guarded(statistic, label, tensors, block, **kw) -> list[float]:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                out = [float(v) for v in statistic.evaluate(tensors, trials=block, **kw)]
+        except FloatingPointError as exc:
+            if len(block) == 1:
+                raise NumericalFailure(f"{label.format('failed', block[0])}: {exc}") from exc
+            return [v for x, t in zip(tensors, block) for v in guarded(statistic, label, [x], range(t, t + 1), **kw)]
+        for t, value in zip(block, out):
+            if not math.isfinite(value):
+                raise NumericalFailure(label.format(f"is {value!r}", t))
+        return out
 
     def run_range(lo: int, hi: int):
-        for (spec, trials, statistic, context), start, out in zip(jobs, offsets, values):
+        for (spec, trials, statistic, context, label), start, out in zip(jobs, offsets, values):
             statistic = _as_block(statistic)
             first, stop = max(lo - start, 0), min(hi - start, trials)
             size = statistic.per_block(spec)
             for b in range(first, stop, size):
                 block = range(b, min(b + size, stop))
                 tensors = [sample_trial(spec, t, context) for t in block]
-                out[block.start:block.stop] = statistic.evaluate(tensors, spec=spec, trials=block, context=context)
+                out[block.start:block.stop] = guarded(statistic, label, tensors, block, spec=spec, context=context)
 
     cells = offsets[-1]
     chunk = -(-cells // workers)
@@ -478,9 +500,9 @@ def _evaluate(jobs: Sequence[tuple], workers: int) -> tuple[tuple[SampleBatch, .
         list(pool.map(lambda r: run_range(*r), ranges))
     batches = tuple(
         SampleBatch(spec=spec, trials=trials, values=out, context=context)
-        for (spec, trials, _, context), out in zip(jobs, values)
+        for (spec, trials, _, context, _), out in zip(jobs, values)
     )
-    return batches, blas
+    return batches, workers, blas
 
 
 def batch_statistics(
@@ -496,9 +518,11 @@ def batch_statistics(
     array indexed by trial, so the outcome is identical for any worker count.
     ``workers`` defaults to SPIKED_LAB_THREADS, else the CPU count. More than
     the entry budget of trials is a SizingError, raised before any allocation.
+    A non-finite statistic, or an overflow or invalid operation inside one,
+    is a NumericalFailure naming the trial (``_evaluate``), never a value.
     """
     trials = _check_count(trials, "trials", 1)
     if trials > DEFAULT_ENTRY_BUDGET:
         raise SizingError(f"trials={trials} exceeds the entry budget {DEFAULT_ENTRY_BUDGET}")
-    (batch,), _ = _evaluate([(spec, trials, statistic, context)], _resolve_workers(workers))
+    (batch,), _, _ = _evaluate([(spec, trials, statistic, context, "statistic {} at trial {}")], workers)
     return batch

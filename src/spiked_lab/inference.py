@@ -22,10 +22,8 @@ from .ensembles import (
     STREAM_TEST,
     EnsembleSpec,
     SampleBatch,
-    _as_block,
     _BlockStatistic,
     _evaluate,
-    _resolve_workers,
     trial_rng,
 )
 from .errors import (
@@ -524,6 +522,10 @@ class ExperimentSpec:
     params: dict | None = None
 
     def __post_init__(self):
+        for hyp in ("h0", "h1"):
+            if not isinstance(getattr(self, hyp), EnsembleSpec):
+                raise ConfigError(hyp, f"expected an EnsembleSpec, got {type(getattr(self, hyp)).__name__}")
+        object.__setattr__(self, "threshold", _finite_number(self.threshold, "test.threshold"))
         make_statistic(self.statistic, self.params)  # a bad name or parameter fails before any draw
         symmetric, matrix = _NEEDS.get(self.statistic, (False, False))
         for hyp, ens in (("h0", self.h0), ("h1", self.h1)):
@@ -535,7 +537,6 @@ class ExperimentSpec:
         # streams are keyed by 2 * seed + hypothesis in 64 bits
         if type(self.seed) is not int or not 0 <= self.seed < 2**63:
             raise ConfigError("seed", f"must be an integer in [0, 2^63), got {self.seed!r}")
-        _finite_number(self.threshold, "test.threshold")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentSpec":
@@ -592,7 +593,7 @@ def _resolve_threshold(name: str, test: dict, h1: EnsembleSpec) -> float:
     if "threshold" in test and "delta" in test:
         raise ConfigError("test", "give either 'threshold' or 'delta', not both")
     if "threshold" in test:
-        return _finite_number(test["threshold"], "test.threshold")
+        return test["threshold"]  # checked once, by ExperimentSpec
     if "delta" in test:
         if name != "eig":
             raise ConfigError("test.delta", "only the eig statistic takes an edge margin")
@@ -683,35 +684,6 @@ def _roc_curve(stats0: np.ndarray, stats1: np.ndarray) -> list:
     return pts
 
 
-def _guarded(stat, name: str, hyp: int) -> _BlockStatistic:
-    """``stat`` with a non-finite value or an overflow or invalid operation as a NumericalFailure.
-
-    numpy's error state is per thread, so it is set on the worker, around
-    each block's call. An error inside a block of several trials reruns them
-    one at a time, each with the bits it has in the block, so the failure
-    names the first failing trial. A worker stops at its first failing
-    trial, and the pool reports the failure of the lowest trial range first.
-    """
-    block = _as_block(stat)
-
-    def evaluate(xs, *, trials, **kw):
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                values = [float(v) for v in block.evaluate(xs, trials=trials, **kw)]
-        except FloatingPointError as exc:
-            if len(trials) > 1:
-                return [v for x, t in zip(xs, trials) for v in evaluate([x], trials=range(t, t + 1), **kw)]
-            raise NumericalFailure(
-                f"statistic {name!r} failed at hypothesis H{hyp}, trial {trials[0]}: {exc}"
-            ) from exc
-        for t, value in zip(trials, values):
-            if not math.isfinite(value):
-                raise NumericalFailure(f"statistic {name!r} is {value!r} at hypothesis H{hyp}, trial {t}")
-        return values
-
-    return _BlockStatistic(evaluate, block.per_block)
-
-
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> ExperimentResult:
     """Sample both hypotheses, apply the test, and summarize separation.
 
@@ -724,15 +696,16 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Experime
     ``workers`` threads, by default SPIKED_LAB_THREADS, else the CPU count;
     the results do not depend on it.
     A non-finite statistic, or an overflow or invalid operation inside one,
-    is a NumericalFailure, never a decision.
+    is a NumericalFailure naming the hypothesis and the trial (``_evaluate``),
+    never a decision.
     """
     stat = make_statistic(spec.statistic, spec.params)
-    workers = _resolve_workers(workers)
     jobs = [
-        (ens, spec.trials, _guarded(stat, spec.statistic, hyp), spec.seed * 2 + hyp)
+        (ens, spec.trials, stat, spec.seed * 2 + hyp,
+         f"statistic {spec.statistic!r} {{}} at hypothesis H{hyp}, trial {{}}")
         for hyp, ens in enumerate((spec.h0, spec.h1))
     ]
-    batches, blas_threads = _evaluate(jobs, workers)
+    batches, workers, blas_threads = _evaluate(jobs, workers)
     stats0, stats1 = batches[0].values, batches[1].values
     return ExperimentResult(
         spec=spec,

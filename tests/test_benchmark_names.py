@@ -4,7 +4,7 @@
 and ``perfbench/run.py`` calls ``cli.main`` and ``cli._threads_default`` and
 catches ``cli.SpikedLabError``: a deleted or renamed name would crash a traced
 benchmark run. ``_TRACED`` is read from the file's source, not imported,
-except by the last test, which runs the tracer itself.
+except by the last two tests, which run the tracer itself.
 """
 
 import ast
@@ -56,3 +56,20 @@ def test_a_traced_opnorm_experiment_records_its_layers(monkeypatch):
     names = [span["name"] for span in tracer.spans]
     assert names.count("ensembles.sample_trial") == 6
     assert names.count("tensors.operator_norm_lb") == 2  # one block of three trials per hypothesis
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_traced_batch_records_its_layers(monkeypatch, workers):
+    """``batch_statistics`` and every trial's ``sample_trial`` call must enter
+    through their traced names, wherever the guard around the statistic lives."""
+    monkeypatch.syspath_prepend(str(SPANS.parent))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    from spans import Tracer
+
+    spec = spiked_lab.EnsembleSpec(model="goe", n=5, seed=1)
+    with Tracer().installed() as tracer:
+        spiked_lab.ensembles.batch_statistics(spec, 4, lambda x, **kw: 1.0, workers=workers)
+    names = [span["name"] for span in tracer.spans]
+    assert names.count("ensembles.batch_statistics") == 1
+    assert names.count("ensembles.sample_trial") == 4
+    assert sorted(trial for _, trial, _ in tracer.samples) == [0, 1, 2, 3]

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import json
 import math
 import os
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from spiked_lab.ensembles import (
     trial_rng,
 )
 from spiked_lab.errors import ConfigError, ContractError, NumericalFailure, SizingError
+from spiked_lab.inference import make_statistic
 from spiked_lab.tensors import SymmetricTensor, outer_power
 
 
@@ -606,6 +609,84 @@ def test_the_pool_holds_openblas_to_one_thread_and_restores_it(openblas):
         with pytest.raises(NumericalFailure, match="synthetic"):
             batch_statistics(spec, 4, fail_at_trial_1, workers=workers)
         assert openblas() == 2
+
+
+def _nan_at_trial_1(tensor, *, trial, **kw):
+    return math.nan if trial == 1 else 1.0
+
+
+def _inf_at_trial_2(tensor, *, trial, **kw):
+    return -math.inf if trial == 2 else 1.0
+
+
+def _overflow_at_trial_2(tensor, *, trial, **kw):
+    big = np.float64(1e300 if trial == 2 else 1.0)
+    return float(big * big)
+
+
+def _invalid_at_trial_1(tensor, *, trial, **kw):
+    return float(np.float64(math.inf if trial == 1 else 1.0) * 0.0)
+
+
+REFUSED = [
+    (_nan_at_trial_1, "statistic is nan at trial 1"),
+    (_inf_at_trial_2, "statistic is -inf at trial 2"),
+    (_overflow_at_trial_2, "statistic failed at trial 2: overflow encountered in "),
+    (_invalid_at_trial_1, "statistic failed at trial 1: invalid value encountered in "),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("statistic,message", REFUSED, ids=["nan", "inf", "overflow", "invalid"])
+def test_batch_statistics_refuses_a_non_finite_statistic_naming_the_trial(statistic, message, workers):
+    """A NaN is never handed back as a value (it was: [1, nan, 1, 1]), and no warning escapes."""
+    spec = EnsembleSpec(model="goe", n=5, seed=1)
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure) as info:
+            batch_statistics(spec, 4, statistic, workers=workers)
+    assert str(info.value).startswith(message)
+    assert np.geterr() == before
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("calm", [0, 3], ids=["every-trial", "from-trial-3"])
+def test_an_overflowing_opnorm_block_names_its_first_failing_trial(monkeypatch, workers, calm):
+    """``sym_spiked`` at strength 1e300 overflows ``opnorm``'s power iteration.
+    The six trials run as one block at one worker; the first ``calm`` are
+    drawn at strength 2 instead, so the block is rerun trial by trial."""
+    spec = EnsembleSpec(model="sym_spiked", n=6, k=3, strength=1e300, seed=3)
+    calm_spec = dataclasses.replace(spec, strength=2.0)
+
+    def sample(spec, trial, context=0):
+        return sample_trial(calm_spec if trial < calm else spec, trial, context)
+
+    monkeypatch.setattr("spiked_lab.ensembles.sample_trial", sample)
+    statistic = make_statistic("opnorm", {"iters": 20})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure) as info:
+            batch_statistics(spec, 6, statistic, workers=workers)
+    assert str(info.value).startswith(f"statistic failed at trial {calm}: overflow encountered in ")
+
+
+@pytest.mark.parametrize("statistic", [_nan_at_trial_1, _overflow_at_trial_2], ids=["nan", "overflow"])
+def test_the_blas_count_is_restored_after_a_refused_statistic(openblas, statistic):
+    spec = EnsembleSpec(model="goe", n=5, seed=1)
+    for workers in (1, 2):
+        with pytest.raises(NumericalFailure):
+            batch_statistics(spec, 4, statistic, workers=workers)
+        assert openblas() == 2
+
+
+def test_batch_statistics_keeps_finite_values_bit_for_bit():
+    """The guard changes no finite value: each is the statistic's own float, at any worker count."""
+    spec = EnsembleSpec(model="sym_spiked", n=6, k=3, strength=2.0, seed=5)
+    statistic = make_statistic("opnorm", {"iters": 20})
+    want = [statistic(sample_trial(spec, t), spec=spec, trial=t) for t in range(7)]
+    for workers in (1, 2, 4):
+        assert batch_statistics(spec, 7, statistic, workers=workers).values.tolist() == want
 
 
 def test_default_worker_count_resolution(monkeypatch):

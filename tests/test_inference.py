@@ -764,6 +764,33 @@ def test_experiment_spec_rejects_bool(field):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize("hyp", ["h0", "h1"])
+@pytest.mark.parametrize("statistic", ["frob", "eig"])
+def test_experiment_spec_refuses_a_hypothesis_that_is_not_an_ensemble_spec(hyp, statistic):
+    """The JSON form of a hypothesis ended in a raw AttributeError inside run_experiment."""
+    kwargs = {"h0": EnsembleSpec(model="goe", n=3), "h1": EnsembleSpec(model="goe", n=3)}
+    kwargs[hyp] = {"model": "goe", "n": 3}
+    with pytest.raises(ConfigError) as err:
+        ExperimentSpec(**kwargs, statistic=statistic, threshold=True, trials=0)  # named before the other fields
+    assert err.value.field == hyp
+    assert str(err.value) == f"{hyp}: expected an EnsembleSpec, got dict"
+
+
+def test_experiment_threshold_is_checked_by_the_spec_itself():
+    """One check, for the JSON path and for direct construction: bools and NaN are
+    refused on ``test.threshold``, and an integer is kept as its float."""
+    h = EnsembleSpec(model="goe", n=3)
+    for bad in (True, math.nan, "2", 10**400):
+        with pytest.raises(ConfigError) as err:
+            ExperimentSpec(h0=h, h1=h, statistic="frob", threshold=bad, trials=1)
+        assert err.value.field == "test.threshold"
+    spec = ExperimentSpec(h0=h, h1=h, statistic="frob", threshold=2, trials=1)
+    assert type(spec.threshold) is float and spec.threshold == 2.0
+    data = _eig_experiment_dict(test={"statistic": "frob", "threshold": 2})
+    test = ExperimentSpec.from_json_dict(data).to_json_dict()["test"]
+    assert json.dumps(test) == '{"statistic": "frob", "threshold": 2.0}'
+
+
 @pytest.mark.parametrize(
     "field,test,h1",
     [

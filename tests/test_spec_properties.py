@@ -5,7 +5,11 @@ then takes a wild value instead (out of range, wrong type, NaN or infinite,
 junk), loses a field or gains an unknown one. Shapes stay small enough to
 run: n <= 6, k <= 4 apart from the wild orders 11, 27 and 100 (refused by
 the symmetric models, the entry budget or the 32-axis limit except at small
-n), at most 2 trials, and few samples, restarts and iterations.
+n), at most 2 trials, and few samples, restarts and iterations. Strengths,
+``params.beta`` and thresholds range over every finite double: far past
+the critical strengths a statistic overflows, and an experiment may end in
+a NumericalFailure (exit 2 with one ``numerical failure: `` line), never in
+a NaN counted as a decision.
 """
 
 import contextlib
@@ -18,14 +22,14 @@ from hypothesis import strategies as st
 
 from spiked_lab.cli import main
 from spiked_lab.ensembles import MODELS, EnsembleSpec, sample_trial
-from spiked_lab.errors import ConfigError, ContractError, SizingError
+from spiked_lab.errors import ConfigError, ContractError, NumericalFailure, SizingError
 from spiked_lab.inference import STATISTICS, ExperimentSpec, run_experiment
 
 DOCUMENTED = (ConfigError, ContractError, SizingError)
 
-# Finite numbers stay within 1e6: far larger strengths overflow inside the
-# statistics, a NumericalFailure, which is not what these tests are about.
-floats = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([math.nan, math.inf, -math.inf]))
+# every finite double, up to +-1.8e308, as well as the moderate range
+finite = st.floats(allow_nan=False, allow_infinity=False)
+floats = st.one_of(st.floats(-1e6, 1e6), finite, st.sampled_from([math.nan, math.inf, -math.inf]))
 junk = st.one_of(
     st.none(),
     st.booleans(),
@@ -73,7 +77,7 @@ def ensembles(draw):
         if draw(st.booleans()):
             spec["spike"] = members
     elif model != "goe":
-        spec["strength"] = draw(st.floats(0.0, 4.0))
+        spec["strength"] = draw(st.one_of(st.floats(0.0, 4.0), st.floats(0.0, allow_infinity=False)))
         if model == "sym_spiked" and draw(st.booleans()):
             spec["spike"] = unit(n, draw(st.integers(-1, n)))
         if model == "asym_spiked" and draw(st.booleans()):
@@ -101,9 +105,10 @@ def experiments(draw):
     cuts = {"eig": ["threshold", "delta"], "trace": ["threshold", None], "lr": ["threshold", None]}
     cut = draw(st.sampled_from(cuts.get(name, ["threshold"])))
     if cut:
-        test[cut] = draw(st.floats(0.01, 4.0))
+        test[cut] = draw(st.one_of(st.floats(0.01, 4.0), finite if cut == "threshold" else st.floats(0.01, 1e308)))
     if name == "lr":
-        test["params"] = {"beta": draw(st.floats(0.0, 4.0)), "samples": draw(st.integers(2, 16))}
+        beta = draw(st.one_of(st.floats(0.0, 4.0), st.floats(0.0, allow_infinity=False)))
+        test["params"] = {"beta": beta, "samples": draw(st.integers(2, 16))}
     if name == "opnorm":
         test["params"] = {"restarts": draw(st.integers(1, 3)), "iters": draw(st.integers(1, 5))}
     if "params" in test:
@@ -133,10 +138,15 @@ def run_main(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def assert_clean_outcome(code, out, err):
+def assert_clean_outcome(code, out, err, numerical=False):
+    """Exit 0 with JSON, or 1 with one ``error: `` line; with ``numerical``, also
+    2 with one ``numerical failure: `` line."""
     if code == 0:
         assert err == ""
         assert json.loads(out)["schema_version"] == "v1"
+    elif numerical and code == 2:
+        assert out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1 and err.endswith("\n")
     else:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
@@ -162,7 +172,7 @@ def test_experiment_spec_ends_in_a_result_or_a_documented_error(data):
     try:
         spec = ExperimentSpec.from_json_dict(data)
         result = run_experiment(spec, workers=1)
-    except DOCUMENTED:
+    except (*DOCUMENTED, NumericalFailure):
         return
     assert 0.0 <= result.fpr <= 1.0 and 0.0 <= result.power <= 1.0
 
@@ -175,7 +185,19 @@ def test_cli_sample_ends_in_json_or_one_error_line(data, trial):
 
 @given(experiments())
 def test_cli_experiment_ends_in_json_or_one_error_line(data):
-    assert_clean_outcome(*run_main("experiment", "--spec", json.dumps(data), "--threads", "1"))
+    assert_clean_outcome(*run_main("experiment", "--spec", json.dumps(data), "--threads", "1"), numerical=True)
+
+
+@given(st.sampled_from(["sym", "asym"]), st.integers(1, 5), st.integers(-1, 10**6), finite)
+def test_cli_second_moment_ends_in_json_or_one_error_line(model, k, n, strength):
+    argv = ["second-moment", "--model", model, "--k", str(k), "--n", str(n), f"--strength={strength!r}"]
+    assert_clean_outcome(*run_main(*argv), numerical=True)
+
+
+@given(finite, st.one_of(st.none(), st.integers(-1, 10**300)))
+def test_cli_rate_ends_in_json_or_one_error_line(a, n):
+    argv = ["rate", f"--a={a!r}"] + ([] if n is None else ["--n", str(n)])
+    assert_clean_outcome(*run_main(*argv), numerical=True)
 
 
 @given(st.one_of(st.integers(-2, 10**6), st.integers(-2, 10**400)))
