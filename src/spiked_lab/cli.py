@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import __version__
-from .ensembles import _MAX_WORKERS, STREAM_SAMPLE, EnsembleSpec, sample_trial, sub_seed_hex
+from .ensembles import STREAM_SAMPLE, EnsembleSpec, _worker_count, sample_trial, sub_seed_hex
 from .ensembles import _threads_default  # noqa: F401  (perfbench/run.py records the worker count)
 from .errors import ConfigError, NumericalFailure, SpikedLabError
 from .inference import (
@@ -139,8 +139,8 @@ def _cmd_experiment(args) -> dict | str:
     if args.trials is not None:
         data = {**data, "trials": args.trials}
     spec = ExperimentSpec.from_json_dict(data)
-    if args.threads is not None and not 1 <= args.threads <= _MAX_WORKERS:
-        raise ConfigError("threads", f"must be in [1, {_MAX_WORKERS}], got {args.threads}")
+    if args.threads is not None:
+        _worker_count(args.threads, "threads")
     result = run_experiment(spec, workers=args.threads)
     if args.format == "csv":
         return result.rows_csv()

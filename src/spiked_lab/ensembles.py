@@ -12,10 +12,12 @@ be regenerated in isolation. Gaussians come from numpy's
 ``Generator.standard_normal`` (ziggurat); that choice is frozen. Statistics
 run with the loaded OpenBLAS held to one thread, so their bits depend
 neither on the worker count nor, where OpenBLAS is found, on the BLAS
-thread count. A statistic may take a block of consecutive trials of one
-spec at once (``opnorm`` does, one stacked power iteration a block); each
-trial's value keeps the bits it has alone, so how the trials fall into
-blocks, which the worker count decides, changes no result. Every batch runs
+thread count. The ``eig`` statistic's Lanczos iteration starts from a
+fixed vector that no trial, worker count or keyword changes. A statistic
+may take a block of consecutive trials of one spec at once (``opnorm``
+does, one stacked power iteration a block); each trial's value keeps the
+bits it has alone, so how the trials fall into blocks, which the worker
+count decides, changes no result. Every batch runs
 through one evaluator, ``_evaluate``: a non-finite statistic, or an overflow
 or invalid operation inside one, is a NumericalFailure naming its trial,
 never a value.
@@ -36,6 +38,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -351,6 +354,19 @@ def _as_block(statistic) -> _BlockStatistic:
     return _BlockStatistic(evaluate, lambda spec: 1)
 
 
+def _worker_count(value, field: str | None = None) -> int:
+    """``value`` as a worker count: an integer in [1, _MAX_WORKERS], the one check of the ceiling.
+
+    Anything else is a ConfigError on ``field`` (the --threads flag, the
+    SPIKED_LAB_THREADS variable) or, with no field, a ContractError on the
+    ``workers`` argument.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral) or not 1 <= value <= _MAX_WORKERS:
+        message = f"must be in [1, {_MAX_WORKERS}], got {_shown(value)}"
+        raise ContractError(f"workers {message}") if field is None else ConfigError(field, message)
+    return int(value)
+
+
 def _threads_default() -> int:
     """The default worker count: SPIKED_LAB_THREADS, else the CPU count."""
     env = os.environ.get("SPIKED_LAB_THREADS")
@@ -359,20 +375,8 @@ def _threads_default() -> int:
             value = int(env)
         except ValueError as exc:
             raise ConfigError("SPIKED_LAB_THREADS", f"not an integer: {env!r}") from exc
-        if not 1 <= value <= _MAX_WORKERS:
-            raise ConfigError("SPIKED_LAB_THREADS", f"must be in [1, {_MAX_WORKERS}], got {value}")
-        return value
+        return _worker_count(value, "SPIKED_LAB_THREADS")
     return max(1, os.cpu_count() or 1)
-
-
-def _resolve_workers(workers: int | None) -> int:
-    """``workers`` checked as an integer in [1, _MAX_WORKERS]; None means ``_threads_default()``."""
-    if workers is None:
-        return _threads_default()
-    workers = _check_count(workers, "workers", 1)
-    if workers > _MAX_WORKERS:
-        raise ContractError(f"workers must be at most {_MAX_WORKERS}, got {workers}")
-    return workers
 
 
 @functools.cache
@@ -466,7 +470,7 @@ def _evaluate(jobs: Sequence[tuple], workers: int | None) -> tuple[tuple[SampleB
     of the lowest range is raised. Returns the batches, the resolved worker
     count and the BLAS hold (1, or None where no OpenBLAS is found).
     """
-    workers = _resolve_workers(workers)
+    workers = _threads_default() if workers is None else _worker_count(workers)
     offsets = list(itertools.accumulate((trials for _, trials, *_ in jobs), initial=0))
     values = [np.empty(trials, dtype=np.float64) for _, trials, *_ in jobs]
 

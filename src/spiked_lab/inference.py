@@ -37,7 +37,7 @@ from .errors import (
     _check_strength,
     _finite_number,
 )
-from .spectra import eigvals_sym, ks_distance
+from .spectra import ks_distance, largest_eigenvalue
 from .tensors import _BLOCK_ENTRIES, DEFAULT_ENTRY_BUDGET, _as_array, _power_trials, frobenius, operator_norm_lb
 from .thresholds import _brent_root
 
@@ -443,10 +443,10 @@ def trace_tv(beta: float) -> float:
 
 
 def spectral_test_eig(x, delta: float = 0.15) -> int:
-    """Accept when the top eigenvalue clears the bulk edge by delta."""
+    """Accept when the top eigenvalue (``largest_eigenvalue``) clears the bulk edge by delta."""
     if _check_real(delta, "delta") <= 0:
         raise ContractError(f"delta must be finite and > 0, got {delta!r}")
-    return int(eigvals_sym(x).largest >= 2.0 + delta)
+    return int(largest_eigenvalue(x) >= 2.0 + delta)
 
 
 STATISTICS = ("eig", "trace", "lr", "frob", "opnorm")
@@ -466,21 +466,26 @@ def make_statistic(name: str, params: dict | None = None):
     """Build a named per-trial statistic callable for batch evaluation.
 
     The callable takes the sampled tensor plus keyword context
-    (spec, trial, context) and returns a float. Randomized statistics
-    ("lr", "opnorm") derive their generator from the trial coordinates on
-    a stream separate from sampling, so results do not depend on worker
-    count or evaluation order. "opnorm" is a block statistic: the evaluator
-    hands it consecutive trials of one spec for one stacked power iteration,
-    and each value keeps the bits it gets alone.
+    (spec, trial, context) and returns a float. ``params`` is None or a
+    dict, else a ConfigError on ``test.params``. "eig" is
+    ``largest_eigenvalue``, Lanczos from a fixed start vector, so it needs
+    no context and its value is a function of the matrix alone. Randomized
+    statistics ("lr", "opnorm") derive their generator from the trial
+    coordinates on a stream separate from sampling, so results do not
+    depend on worker count or evaluation order. "opnorm" is a block
+    statistic: the evaluator hands it consecutive trials of one spec for one
+    stacked power iteration, and each value keeps the bits it gets alone.
     """
     if name not in STATISTICS:
         raise ConfigError("test.statistic", f"unknown statistic {name!r}; known: {STATISTICS}")
+    if params is not None and not isinstance(params, dict):
+        raise ConfigError("test.params", "expected an object")
     params = dict(params or {})
     for key in params:
         if key not in _PARAMS.get(name, ()):
             raise ConfigError(f"test.params.{key}", f"not a parameter of the {name} statistic")
     if name == "eig":
-        return lambda x, **kw: eigvals_sym(x).largest
+        return lambda x, **kw: largest_eigenvalue(x)
     if name == "trace":
         return lambda x, **kw: trace_stat(x)
     if name == "frob":
@@ -559,9 +564,7 @@ class ExperimentSpec:
             raise ConfigError("test", f"unknown fields {sorted(t_unknown)}")
         name = test["statistic"]
         params = test.get("params")
-        if params is not None and not isinstance(params, dict):
-            raise ConfigError("test.params", "expected an object")
-        if name == "lr":
+        if name == "lr" and (params is None or isinstance(params, dict)):  # the constructor refuses the rest
             params = dict(params or {})
             params.setdefault("beta", h1.strength)
         threshold = _resolve_threshold(name, test, h1)

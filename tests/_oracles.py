@@ -1,9 +1,10 @@
 """Slow, independent reference computations used to pin down fast code.
 
-Everything here deliberately avoids the code paths under test: eigenvalues
-come from exact rational Sturm-chain bisection on the characteristic
-polynomial, symmetrization from explicit permutation loops (the orbit
-sources at k >= 9 from one gather and product per permutation group), tail
+Everything here deliberately avoids the code paths under test: eigenvalues,
+and the largest one also when it is repeated, come from exact rational
+Sturm-chain bisection on the characteristic polynomial, symmetrization
+from explicit permutation loops (the orbit sources at k >= 9 from one
+gather and product per permutation group), tail
 probabilities from the regularized incomplete beta function. Symmetric
 samples are composed from whole-array steps, one n^k array per step, to
 pin the samplers bit for bit. The maximum of the asymmetric variational
@@ -27,13 +28,13 @@ from spiked_lab.errors import ContractError, _check_count, _check_order, _check_
 from spiked_lab.tensors import OperatorNormBound, SymmetricTensor, UnitVector
 
 
-def eigvals_sturm(matrix: np.ndarray, iters: int = 55) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by exact-arithmetic bisection.
+def _sturm_variations(matrix: np.ndarray):
+    """The sign-variation count of the exact Sturm chain of the characteristic
+    polynomial at a rational point, and a Gershgorin radius holding every root.
 
-    The matrix entries are converted to exact rationals, the characteristic
-    polynomial and its Sturm chain are built symbolically, and each root is
-    bisected using sign-variation counts. 55 halvings of a Gershgorin
-    interval leave an error far below 1e-12.
+    The matrix entries are converted to exact rationals and the chain is built
+    symbolically. It ends in gcd(p, p'), so the count falls by one across each
+    distinct root, whatever its multiplicity.
     """
     n = matrix.shape[0]
     exact = sp.Matrix(n, n, lambda i, j: sp.Rational(Fraction(float(matrix[i, j]))))
@@ -56,7 +57,19 @@ def eigvals_sturm(matrix: np.ndarray, iters: int = 55) -> np.ndarray:
                 count += 1
         return count
 
-    radius = Fraction(float(np.max(np.sum(np.abs(matrix), axis=1)))) + 1
+    return variations, Fraction(float(np.max(np.sum(np.abs(matrix), axis=1)))) + 1
+
+
+def eigvals_sturm(matrix: np.ndarray, iters: int = 55) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix by exact-arithmetic bisection.
+
+    Each root is bisected using the sign-variation counts of the exact Sturm
+    chain. 55 halvings of a Gershgorin interval leave an error far below
+    1e-12. The eigenvalues must be distinct: the chain counts a repeated root
+    once.
+    """
+    n = matrix.shape[0]
+    variations, radius = _sturm_variations(matrix)
     lo_all, hi_all = -radius, radius
     v_lo = variations(lo_all)
     roots = []
@@ -71,6 +84,24 @@ def eigvals_sturm(matrix: np.ndarray, iters: int = 55) -> np.ndarray:
                 lo = mid
         roots.append(float((lo + hi) / 2))
     return np.array(sorted(roots, reverse=True))
+
+
+def largest_eigval_sturm(matrix: np.ndarray, iters: int = 64) -> float:
+    """The largest eigenvalue of a symmetric matrix, repeated or not, by
+    exact-arithmetic bisection: the least point above which the Sturm chain
+    counts no root. Returns the upper end of the final bracket, which is
+    exact when the root is a bisection point (0 for the zero matrix, 1 for
+    the identity) and otherwise at most radius * 2^(1 - iters) above it."""
+    variations, radius = _sturm_variations(matrix)
+    lo, hi = -radius, radius
+    v_hi = variations(hi)
+    for _ in range(iters):
+        mid = (lo + hi) / 2
+        if variations(mid) == v_hi:
+            hi = mid
+        else:
+            lo = mid
+    return float(hi)
 
 
 def symmetrize_bruteforce(arr: np.ndarray) -> np.ndarray:

@@ -722,7 +722,7 @@ def test_batch_statistics_refuses_trials_over_the_entry_budget_before_allocating
 
 def test_batch_statistics_refuses_more_workers_than_the_ceiling(no_pool, monkeypatch):
     spec = EnsembleSpec(model="goe", n=5, seed=2)
-    with pytest.raises(ContractError, match="workers must be at most 1024"):
+    with pytest.raises(ContractError, match=r"workers must be in \[1, 1024\], got 1025"):
         batch_statistics(spec, 4, frob_stat, workers=1025)
     monkeypatch.setenv("SPIKED_LAB_THREADS", "100000")
     with pytest.raises(ConfigError, match="SPIKED_LAB_THREADS"):

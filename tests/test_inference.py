@@ -791,6 +791,21 @@ def test_experiment_threshold_is_checked_by_the_spec_itself():
     assert json.dumps(test) == '{"statistic": "frob", "threshold": 2.0}'
 
 
+@pytest.mark.parametrize("statistic", ["eig", "lr", "opnorm"])
+@pytest.mark.parametrize("params", [[1], "ab", 5, []])
+def test_experiment_spec_refuses_params_that_are_not_a_mapping(statistic, params):
+    """Built directly, the spec once met ``dict(params)`` as a raw TypeError or ValueError;
+    it is refused in the words of the JSON path, and so is the JSON path's lr default."""
+    h = EnsembleSpec(model="goe", n=3)
+    with pytest.raises(ConfigError) as err:
+        ExperimentSpec(h0=h, h1=h, statistic=statistic, threshold=1.0, trials=1, params=params)
+    assert str(err.value) == "test.params: expected an object"
+    data = _eig_experiment_dict(test={"statistic": statistic, "threshold": 1.0, "params": params})
+    with pytest.raises(ConfigError) as err:
+        ExperimentSpec.from_json_dict(data)
+    assert str(err.value) == "test.params: expected an object"
+
+
 @pytest.mark.parametrize(
     "field,test,h1",
     [
@@ -1241,7 +1256,7 @@ def test_run_experiment_refuses_a_worker_count_that_is_not_a_positive_integer(ba
 
 def test_run_experiment_refuses_more_workers_than_the_ceiling(no_pool):
     spec = ExperimentSpec.from_json_dict(_eig_experiment_dict(trials=2))
-    with pytest.raises(ContractError, match="workers must be at most 1024"):
+    with pytest.raises(ContractError, match=r"workers must be in \[1, 1024\], got 1025"):
         run_experiment(spec, workers=1025)
 
 
