@@ -13,12 +13,15 @@ be regenerated in isolation. Gaussians come from numpy's
 run with the loaded OpenBLAS held to one thread, so their bits depend
 neither on the worker count nor, where OpenBLAS is found, on the BLAS
 thread count. The ``eig`` statistic's Lanczos iteration starts from a
-fixed vector that no trial, worker count or keyword changes. A statistic
-may take a block of consecutive trials of one spec at once (``opnorm``
-does, one stacked power iteration a block); each trial's value keeps the
-bits it has alone, so how the trials fall into blocks, which the worker
-count decides, changes no result. Every batch runs
-through one evaluator, ``_evaluate``: a non-finite statistic, or an overflow
+fixed vector that no trial, worker count or keyword changes. Its products
+X q come from the loaded OpenBLAS's ``cblas_dsymv`` where that is exported,
+else from ``X @ q``; its bits depend on which of the two the platform has
+(the values agree within about 1e-15 relative), never on the worker count.
+A statistic may take a block of consecutive trials of one spec at once
+(``opnorm`` does, one stacked power iteration a block); each trial's value
+keeps the bits it has alone, so how the trials fall into blocks, which the
+worker count decides, changes no result. Every batch runs through one
+evaluator, ``_evaluate``: a non-finite statistic, or an overflow
 or invalid operation inside one, is a NumericalFailure naming its trial,
 never a value.
 
@@ -30,7 +33,6 @@ as the corresponding pure-noise model under the same key.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import math
 import operator
@@ -43,6 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._blas import openblas
 from .errors import ConfigError, ContractError, NumericalFailure, SizingError
 from .errors import _check_count, _check_order, _finite_number, _shown
 from .tensors import _MAX_ORDER, _MAX_SYM_ORDER, DEFAULT_ENTRY_BUDGET, DenseTensor, SymmetricTensor, UnitVector
@@ -379,36 +382,11 @@ def _threads_default() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-@functools.cache
 def _openblas_threads():
-    """The (get, set) thread-count calls of the loaded OpenBLAS, or None where none is found.
-
-    Looked up on the first call, not at import: the mapped libraries are read
-    from /proc/self/maps and opened with ctypes. Other BLAS libraries (MKL,
-    Accelerate) and systems without /proc give None.
-    """
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in (
-            ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-            ("openblas_get_num_threads", "openblas_set_num_threads"),
-        ):
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
+    """The (get, set) thread-count calls of the loaded OpenBLAS, or None where
+    none is found (``_blas.openblas``, looked up once, on the first call)."""
+    lib = openblas()
+    return None if lib is None else (lib.get_threads, lib.set_threads)
 
 
 class _OneBlasThread:
@@ -464,8 +442,9 @@ def _evaluate(jobs: Sequence[tuple], workers: int | None) -> tuple[tuple[SampleB
     consecutive trials of one job ``per_block(spec)`` at a time; any other
     statistic gets one trial at a time. Each call runs with numpy's error
     state, which is per thread, raising on overflow and invalid operations;
-    a block that raises is rerun one trial at a time with the same bits. The
-    first failing trial, raising or non-finite, is a NumericalFailure worded
+    a block that raises that or a NumericalFailure is rerun one trial at a
+    time with the same bits. The first failing trial, raising or
+    non-finite, is a NumericalFailure worded
     by ``label.format(what, trial)``; a worker stops there, and the failure
     of the lowest range is raised. Returns the batches, the resolved worker
     count and the BLAS hold (1, or None where no OpenBLAS is found).
@@ -478,7 +457,7 @@ def _evaluate(jobs: Sequence[tuple], workers: int | None) -> tuple[tuple[SampleB
         try:
             with np.errstate(over="raise", invalid="raise"):
                 out = [float(v) for v in statistic.evaluate(tensors, trials=block, **kw)]
-        except FloatingPointError as exc:
+        except (FloatingPointError, NumericalFailure) as exc:
             if len(block) == 1:
                 raise NumericalFailure(f"{label.format('failed', block[0])}: {exc}") from exc
             return [v for x, t in zip(tensors, block) for v in guarded(statistic, label, [x], range(t, t + 1), **kw)]

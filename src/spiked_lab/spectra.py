@@ -4,8 +4,12 @@
 reduction. ``largest_eigenvalue``, behind the ``eig`` statistic, returns
 the top eigenvalue alone by Lanczos from a fixed start vector: about 100
 matrix-vector products at n = 900, within about sqrt(n) eps |X| of the
-LAPACK value and, up to that rounding, never above it. Both read their
-input through one rule, ``_symmetric_matrix``.
+LAPACK value and, up to that rounding, never above it. Each product is the
+loaded OpenBLAS's ``cblas_dsymv`` on the upper triangle where that symbol is
+exported, else ``X @ q`` (MKL, Accelerate, no /proc); the value's bits
+depend on which (within about 1e-15 relative), never on the worker count.
+Both read their input through one rule, ``_symmetric_matrix``, and both
+raise NumericalFailure for an eigenvalue that overflows a double.
 """
 
 from __future__ import annotations
@@ -15,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NumericalFailure
+from ._blas import ROW_MAJOR, UPPER, openblas
+from .errors import ContractError, NumericalFailure, SpikedLabError
 from .tensors import SymmetricTensor, _as_array
 
 _SYMMETRY_TOL = 1e-10
 _EPS = float(np.finfo(np.float64).eps)
-# Lanczos basis rows allocated at a time, and the steps at which the stop rule is checked
+# Lanczos basis rows allocated first (doubled when full), and the steps at which the stop rule is checked
 _BASIS_BLOCK = 32
 _CHECK_FROM = 20
 _CHECK_EVERY = 10
@@ -52,7 +57,7 @@ class Spectrum:
 
 
 def _symmetric_matrix(x) -> np.ndarray:
-    """``x`` as a nonempty symmetric float matrix, the one input rule of the eigensolvers.
+    """``x`` as a nonempty symmetric C-contiguous float64 matrix, the one input rule of the eigensolvers.
 
     A plain array must be finite and symmetric within 1e-10 (scaled by the
     largest entry) and is replaced by (X + X^T)/2; a SymmetricTensor is
@@ -81,6 +86,8 @@ def eigvals_sym(x) -> Spectrum:
         w = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
+    if not np.all(np.isfinite(w)):
+        raise _overflow(sym, "an eigenvalue")
     return Spectrum(eigenvalues=np.ascontiguousarray(w[::-1]))  # eigvalsh returns ascending order
 
 
@@ -92,15 +99,32 @@ def _lanczos_start(n: int) -> np.ndarray:
     return g / np.linalg.norm(g)
 
 
+def _symv():
+    """The loaded OpenBLAS's typed ``cblas_dsymv``, or None (another BLAS, no /proc)."""
+    lib = openblas()
+    return None if lib is None else lib.dsymv
+
+
+def _overflow(sym: np.ndarray, what: str) -> SpikedLabError:
+    """The error for a non-finite result of an eigensolver: a ContractError
+    where X itself holds a non-finite entry (only a SymmetricTensor gets that
+    far), else a NumericalFailure, the result overflowing a double."""
+    if not np.all(np.isfinite(sym)):
+        return ContractError("matrix has non-finite entries")
+    return NumericalFailure(f"{what} overflows a double")
+
+
 def largest_eigenvalue(x) -> float:
     """The largest eigenvalue of a symmetric matrix, by Lanczos with full reorthogonalization.
 
     Same input rule as ``eigvals_sym``. The Krylov space of the fixed start
-    vector ``_lanczos_start(n)`` grows by one product X q a step; each new
-    direction is orthogonalized twice against the whole basis, which is
-    allocated ``_BASIS_BLOCK`` rows at a time. The value is the top Ritz
-    value theta_1, the largest eigenvalue of the tridiagonal projection T_m,
-    at the first of:
+    vector ``_lanczos_start(n)`` grows by one product X q a step: the loaded
+    OpenBLAS's ``cblas_dsymv`` on the upper triangle where it is exported
+    (half the memory traffic of a general product), else ``X @ q``. Each new
+    direction is orthogonalized twice against the whole basis, which starts
+    at ``_BASIS_BLOCK`` rows and doubles when full. The value is the top
+    Ritz value theta_1, the largest eigenvalue of the tridiagonal projection
+    T_m, at the first of:
 
     - the gap-aware residual test, checked every ``_CHECK_EVERY`` steps from
       step ``_CHECK_FROM``: r^2 <= eps |T| (theta_1 - theta_2), with r the
@@ -115,30 +139,38 @@ def largest_eigenvalue(x) -> float:
     product, so no norm under- or overflows at any scale of X, and the
     scaling is exact. A Ritz value never exceeds the top eigenvalue, up to
     rounding of order sqrt(n) eps |X|. It misses the top eigenvalue only if
-    the start vector is orthogonal to its eigenspace.
+    the start vector is orthogonal to its eigenspace. The two products round
+    differently, so the value's bits depend on which one the platform has
+    (within about 1e-15 relative), never on a thread or worker count while
+    OpenBLAS is held to one thread. A product X q or a top eigenvalue that
+    overflows a double is a NumericalFailure, not a warning or an inf.
     """
     sym = _symmetric_matrix(x)
     n = sym.shape[0]
-    basis = np.empty((0, n))
+    dsymv = _symv()
+    basis = np.empty((min(_BASIS_BLOCK, n), n))
+    basis[0] = _lanczos_start(n)
+    swept = np.empty(n)
     alpha: list[float] = []
     beta: list[float] = []
-    q = _lanczos_start(n)
     for m in range(1, n + 1):
-        if m > len(basis):
-            basis = np.concatenate([basis, np.empty((min(_BASIS_BLOCK, n - len(basis)), n))])
-        basis[m - 1] = q
-        w = sym @ q
-        if m == 1:  # max |2^shift X q_1| is in [1/2, 1)
-            top = float(np.max(np.abs(w)))
-            if not math.isfinite(top):  # q_1 has no zero entry: an inf in a SymmetricTensor shows here
-                raise ContractError("matrix has non-finite entries, or X q overflows")
-            shift = -math.frexp(top)[1]
-        w = np.ldexp(w, shift)
+        q = basis[m - 1]
+        if dsymv is None:
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+                w = sym @ q
+        else:  # beta 0 and a zeroed output: nothing in w is read
+            w = np.zeros(n)
+            dsymv(ROW_MAJOR, UPPER, n, 1.0, sym.ctypes.data, n, q.ctypes.data, 1, 0.0, w.ctypes.data, 1)
+        if m == 1:  # max |2^shift X q_1| is in [1/2, 1); frexp of inf or NaN gives 0
+            shift = -math.frexp(float(np.max(np.abs(w))))[1]
+        np.ldexp(w, shift, out=w)
         w_norm = float(np.linalg.norm(w))
+        if not math.isfinite(w_norm):  # q_1 has no zero entry: an inf in a SymmetricTensor shows at step 1
+            raise _overflow(sym, f"X q at Lanczos step {m}")
         prior = basis[:m]
         for sweep in range(2):  # classical Gram-Schmidt twice: orthogonal to rounding
             h = prior @ w
-            w -= h @ prior
+            w -= np.matmul(h, prior, out=swept)
             if sweep == 0:
                 alpha.append(float(h[-1]))
         b = float(np.linalg.norm(w))
@@ -150,8 +182,13 @@ def largest_eigenvalue(x) -> float:
             if (b * s[-1, -1]) ** 2 <= _EPS * max(theta[-1], -theta[0]) * (theta[-1] - theta[-2]):
                 break
         beta.append(b)
-        q = w / b
-    return math.ldexp(float(theta[-1]), -shift)
+        if m == len(basis):
+            basis = np.concatenate([basis, np.empty((min(m, n - m), n))])
+        np.divide(w, b, out=basis[m])
+    try:
+        return math.ldexp(float(theta[-1]), -shift)
+    except OverflowError:  # X is finite here: its first product was
+        raise NumericalFailure("the top eigenvalue overflows a double") from None
 
 
 def _ritz(alpha: list[float], beta: list[float]) -> tuple[np.ndarray, np.ndarray]:

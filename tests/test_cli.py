@@ -690,12 +690,23 @@ _OVERFLOWS = {
         "h1": {"model": "sym_spiked", "n": 3, "k": 3, "strength": 1.0},
         "test": {"statistic": "lr", "params": {"beta": 1e300}},
     },
+    "eig": {  # every product is finite; the top eigenvalue, unscaled, is not
+        "h0": {"model": "goe", "n": 4},
+        "h1": {"model": "sym_spiked", "n": 4, "strength": 1.7976931348623157e308},
+        "test": {"statistic": "eig", "threshold": 2.1},
+        "seed": 1,  # the top eigenvalue is the largest double to rounding, which may round either way
+    },
 }
 
 
 @pytest.mark.parametrize(
     "name,where",
-    [("opnorm", "H1, trial 0: overflow"), ("frob", "H1, trial 0: overflow"), ("lr", "H0, trial 0: ")],
+    [
+        ("opnorm", "H1, trial 0: overflow"),
+        ("frob", "H1, trial 0: overflow"),
+        ("lr", "H0, trial 0: "),
+        ("eig", "H1, trial 0: the top eigenvalue overflows a double"),
+    ],
 )
 def test_overflow_inside_a_statistic_exits_two(capsys, name, where):
     """Each trial runs on its own worker thread, where the error state must be set."""

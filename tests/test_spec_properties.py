@@ -167,7 +167,19 @@ def test_ensemble_spec_ends_in_a_draw_or_a_documented_error(data):
     assert (tensor.dim, tensor.order) == (spec.n, spec.k)
 
 
+# every Lanczos product is finite, the top eigenvalue unscaled is not: an
+# OverflowError escaped main here
+MAX_EIG = {
+    "h0": {"model": "goe", "n": 4},
+    "h1": {"model": "sym_spiked", "n": 4, "strength": 1.7976931348623157e308},
+    "test": {"statistic": "eig", "threshold": 2.1},
+    "trials": 3,
+    "seed": 1,
+}
+
+
 @given(experiments())
+@example(MAX_EIG)
 def test_experiment_spec_ends_in_a_result_or_a_documented_error(data):
     try:
         spec = ExperimentSpec.from_json_dict(data)
@@ -184,6 +196,7 @@ def test_cli_sample_ends_in_json_or_one_error_line(data, trial):
 
 
 @given(experiments())
+@example(MAX_EIG)
 def test_cli_experiment_ends_in_json_or_one_error_line(data):
     assert_clean_outcome(*run_main("experiment", "--spec", json.dumps(data), "--threads", "1"), numerical=True)
 

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import tracemalloc
 
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 from scipy.stats import ks_2samp
 
-from spiked_lab.ensembles import EnsembleSpec, sample_goe, sample_trial, trial_rng
-from spiked_lab.errors import ContractError
+from spiked_lab import _blas, spectra
+from spiked_lab.ensembles import EnsembleSpec, _openblas_threads, sample_goe, sample_trial, trial_rng
+from spiked_lab.errors import ContractError, NumericalFailure
 from spiked_lab.spectra import (
     Spectrum,
     eigvals_sym,
@@ -88,7 +90,19 @@ def lanczos_bound(n: int, norm: float) -> float:
     return (1.0 + 2.0 * math.sqrt(n)) * EPS * norm
 
 
-def test_largest_eigenvalue_matches_exact_rational_bisection():
+@pytest.fixture(params=["dsymv", "matmul"])
+def product(request, monkeypatch):
+    """Each Lanczos product path in turn: the loaded OpenBLAS's cblas_dsymv,
+    and ``X @ q`` with that symbol hidden, as on MKL or without /proc."""
+    if request.param == "dsymv":
+        if spectra._symv() is None:
+            pytest.skip("no OpenBLAS cblas_dsymv is loaded in this process")
+    else:
+        monkeypatch.setattr(spectra, "_symv", lambda: None)
+    return request.param
+
+
+def test_largest_eigenvalue_matches_exact_rational_bisection(product):
     """100 random 6x6 matrices against the exact Sturm-chain top root."""
     for seed in range(100):
         m = sym_matrix(6, 1000 + seed)
@@ -114,7 +128,7 @@ def _structured():
 
 
 @pytest.mark.parametrize("name", list(_structured()))
-def test_largest_eigenvalue_structured_cases_match_exact_bisection(name):
+def test_largest_eigenvalue_structured_cases_match_exact_bisection(name, product):
     """Repeated tops, breakdown after one or two steps, and n = 1, 2: every
     exit of the iteration, with no invalid operation at breakdown."""
     m = _structured()[name]
@@ -127,7 +141,7 @@ def test_largest_eigenvalue_structured_cases_match_exact_bisection(name):
 
 
 @pytest.mark.parametrize("power", [-1000, -560, 560, 1000])
-def test_largest_eigenvalue_at_any_scale(power):
+def test_largest_eigenvalue_at_any_scale(power, product):
     """2^power X has the top eigenvalue 2^power lambda: no norm may underflow
     to a false breakdown or overflow into a NumericalFailure."""
     m = sym_matrix(6, 11)
@@ -148,7 +162,7 @@ def _statistic_cases(n):
 
 
 @pytest.mark.parametrize("n", [200, 500, 900, 1000])
-def test_largest_eigenvalue_matches_eigvalsh_at_scale(n):
+def test_largest_eigenvalue_matches_eigvalsh_at_scale(n, product):
     """The eig statistic's shapes against LAPACK. The reference rounds too,
     by the same sqrt(n) model, so the bound is the Lanczos one plus
     2 sqrt(n) eps |X|; a Ritz value is a lower bound up to that rounding."""
@@ -162,7 +176,7 @@ def test_largest_eigenvalue_matches_eigvalsh_at_scale(n):
         assert got <= want + bound, spec
 
 
-def test_largest_eigenvalue_grows_its_basis_in_blocks():
+def test_largest_eigenvalue_grows_its_basis_in_blocks(product):
     """An (n+1) x n basis up front would hold as much memory as X itself."""
     n = 1000
     x = sample_trial(EnsembleSpec("goe", n, seed=3), 0)
@@ -173,6 +187,41 @@ def test_largest_eigenvalue_grows_its_basis_in_blocks():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 / 2
+
+
+@pytest.mark.parametrize("n", [64, 900])
+def test_an_overflowing_top_eigenvalue_is_a_numerical_failure(n, product):
+    """All entries 1e307: at n = 64 every product is finite and the top
+    eigenvalue 6.4e308 is not; at n = 900 a product X q overflows first. A
+    BLAS call sets no numpy error flag, so the values themselves are checked,
+    and no warning escapes either path."""
+    x = SymmetricTensor(np.full((n, n), 1e307))
+    with pytest.raises(NumericalFailure, match="overflows a double"):
+        largest_eigenvalue(x)
+
+
+@pytest.mark.parametrize("n", [64, 900])
+def test_an_overflowing_eigenvalue_is_a_numerical_failure_in_the_full_spectrum(n):
+    with pytest.raises(NumericalFailure, match="an eigenvalue overflows a double"):
+        eigvals_sym(SymmetricTensor(np.full((n, n), 1e307)))
+
+
+def test_the_symmetric_product_is_bound_wherever_openblas_is():
+    """A silent fall back to ``X @ q`` would lose the product's speed with no
+    other test failing. The integer arguments take the width the library's
+    configuration string names, and a call gives X q."""
+    if _openblas_threads() is None:
+        pytest.skip("no OpenBLAS is loaded in this process")
+    lib = _blas.openblas()
+    assert lib.dsymv is not None and spectra._symv() is lib.dsymv
+    wide = "USE64BITINT" in lib.config.split()
+    assert all(ctypes.sizeof(lib.dsymv.argtypes[i]) == (8 if wide else 4) for i in (2, 5, 7, 10))
+    x = sym_matrix(5, 12)
+    q = np.random.default_rng(13).standard_normal(5)
+    w = np.zeros(5)
+    lib.dsymv(_blas.ROW_MAJOR, _blas.UPPER, 5, 1.0, x.ctypes.data, 5, q.ctypes.data, 1, 0.0, w.ctypes.data, 1)
+    # each of the two 5-term sums is within 5 eps sum |x_ij q_j| of the exact one
+    assert np.all(np.abs(w - x @ q) <= 2 * 5 * EPS * (np.abs(x) @ np.abs(q)))
 
 
 def test_ks_distance_extremes():
