@@ -15,6 +15,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -424,34 +425,10 @@ def trace_stat(x) -> float:
     return float(np.trace(arr))
 
 
-def trace_test(x, beta: float, threshold: float | None = None) -> int:
-    """Accept the spike when the trace exceeds the midpoint beta/2.
-
-    Under noise the trace is N(0, 2); a rank-one unit spike of size beta
-    shifts its mean to beta, so the likelihood ratio test thresholds at
-    the midpoint. An explicit ``threshold`` must be a finite number.
-    """
-    beta = _check_strength(beta, "beta")
-    threshold = 0.5 * beta if threshold is None else _check_real(threshold, "threshold")
-    return int(trace_stat(x) >= threshold)
-
-
 def trace_tv(beta: float) -> float:
     """Total variation distance between N(0, 2) and N(beta, 2)."""
     beta = _check_strength(beta, "beta")
     return math.erf(beta / 4.0)
-
-
-def spectral_test_eig(x, delta: float = 0.15) -> int:
-    """Accept when the top eigenvalue (``largest_eigenvalue``) clears the bulk edge by delta."""
-    if _check_real(delta, "delta") <= 0:
-        raise ContractError(f"delta must be finite and > 0, got {delta!r}")
-    return int(largest_eigenvalue(x) >= 2.0 + delta)
-
-
-STATISTICS = ("eig", "trace", "lr", "frob", "opnorm")
-_PARAMS = {"lr": ("beta", "samples"), "opnorm": ("restarts", "iters")}  # the others take none
-_NEEDS = {"eig": (True, True), "trace": (False, True), "opnorm": (True, False)}  # (symmetric, matrix)
 
 
 def _int_param(params: dict, name: str, default: int, lo: int) -> int:
@@ -460,6 +437,66 @@ def _int_param(params: dict, name: str, default: int, lo: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= DEFAULT_ENTRY_BUDGET:
         raise ConfigError(f"test.params.{name}", f"must be an integer in [{lo}, {DEFAULT_ENTRY_BUDGET}], got {value!r}")
     return int(value)
+
+
+def _lr(params: dict):
+    beta = params.get("beta")
+    if beta is None:
+        raise ConfigError("test.params.beta", "the lr statistic needs a strength")
+    beta = _finite_number(beta, "test.params.beta")
+    if beta < 0:
+        raise ConfigError("test.params.beta", f"must be >= 0, got {beta!r}")
+    n_samples = _int_param(params, "samples", 2048, 2)
+
+    def lr_stat(x, *, spec, trial, context=0, **kw):
+        rng = trial_rng(spec.seed, trial, STREAM_TEST, context)
+        return likelihood_ratio_mc(x, beta, n_samples, rng).log_estimate
+
+    return lr_stat
+
+
+def _opnorm(params: dict) -> _BlockStatistic:
+    restarts = _int_param(params, "restarts", 8, 1)
+    iters = _int_param(params, "iters", 200, 1)
+
+    def opnorm_block(xs, *, spec, trials, context=0, **kw):
+        rngs = [trial_rng(spec.seed, t, STREAM_TEST, context) for t in trials]
+        return [b.value for b in operator_norm_lb(xs, restarts=restarts, iters=iters, rng=rngs)]
+
+    return _BlockStatistic(opnorm_block, lambda spec: _power_trials(spec.n, spec.k, restarts))
+
+
+@dataclass(frozen=True)
+class _Statistic:
+    """A statistic's rules. ``build`` makes its callable from the checked ``test.params`` (keys
+    ``params``); both hypotheses must be ``symmetric`` models and/or ``matrix`` ones; ``edge`` takes
+    ``test.delta``; ``cut`` (None: a threshold is required) and ``defaults`` read the alternative's beta."""
+
+    build: Callable[[dict], Callable]
+    params: tuple[str, ...] = ()
+    symmetric: bool = False
+    matrix: bool = False
+    edge: float | None = None
+    cut: Callable[[float], float] | None = None
+    defaults: Callable[[float], dict] | None = None
+
+
+_TABLE = {
+    "eig": _Statistic(lambda params: lambda x, **kw: largest_eigenvalue(x), symmetric=True, matrix=True, edge=2.0),
+    # under noise the trace is N(0, 2); a unit spike of size beta moves its mean to beta
+    "trace": _Statistic(lambda params: lambda x, **kw: trace_stat(x), matrix=True, cut=lambda beta: 0.5 * beta),
+    # log likelihood ratio >= 0 is the equal-prior Bayes rule
+    "lr": _Statistic(_lr, ("beta", "samples"), cut=lambda beta: 0.0, defaults=lambda beta: {"beta": beta}),
+    "frob": _Statistic(lambda params: lambda x, **kw: frobenius(x)),
+    "opnorm": _Statistic(_opnorm, ("restarts", "iters"), symmetric=True),
+}
+STATISTICS = tuple(_TABLE)
+
+
+def _statistic(name) -> _Statistic:
+    if name not in STATISTICS:
+        raise ConfigError("test.statistic", f"unknown statistic {name!r}; known: {STATISTICS}")
+    return _TABLE[name]
 
 
 def make_statistic(name: str, params: dict | None = None):
@@ -476,42 +513,14 @@ def make_statistic(name: str, params: dict | None = None):
     statistic: the evaluator hands it consecutive trials of one spec for one
     stacked power iteration, and each value keeps the bits it gets alone.
     """
-    if name not in STATISTICS:
-        raise ConfigError("test.statistic", f"unknown statistic {name!r}; known: {STATISTICS}")
+    entry = _statistic(name)
     if params is not None and not isinstance(params, dict):
         raise ConfigError("test.params", "expected an object")
     params = dict(params or {})
     for key in params:
-        if key not in _PARAMS.get(name, ()):
+        if key not in entry.params:
             raise ConfigError(f"test.params.{key}", f"not a parameter of the {name} statistic")
-    if name == "eig":
-        return lambda x, **kw: largest_eigenvalue(x)
-    if name == "trace":
-        return lambda x, **kw: trace_stat(x)
-    if name == "frob":
-        return lambda x, **kw: frobenius(x)
-    if name == "lr":
-        beta = params.get("beta")
-        if beta is None:
-            raise ConfigError("test.params.beta", "the lr statistic needs a strength")
-        beta = _finite_number(beta, "test.params.beta")
-        if beta < 0:
-            raise ConfigError("test.params.beta", f"must be >= 0, got {beta!r}")
-        n_samples = _int_param(params, "samples", 2048, 2)
-
-        def lr_stat(x, *, spec, trial, context=0, **kw):
-            rng = trial_rng(spec.seed, trial, STREAM_TEST, context)
-            return likelihood_ratio_mc(x, beta, n_samples, rng).log_estimate
-
-        return lr_stat
-    restarts = _int_param(params, "restarts", 8, 1)
-    iters = _int_param(params, "iters", 200, 1)
-
-    def opnorm_block(xs, *, spec, trials, context=0, **kw):
-        rngs = [trial_rng(spec.seed, t, STREAM_TEST, context) for t in trials]
-        return [b.value for b in operator_norm_lb(xs, restarts=restarts, iters=iters, rng=rngs)]
-
-    return _BlockStatistic(opnorm_block, lambda spec: _power_trials(spec.n, spec.k, restarts))
+    return entry.build(params)
 
 
 @dataclass(frozen=True)
@@ -532,7 +541,7 @@ class ExperimentSpec:
                 raise ConfigError(hyp, f"expected an EnsembleSpec, got {type(getattr(self, hyp)).__name__}")
         object.__setattr__(self, "threshold", _finite_number(self.threshold, "test.threshold"))
         make_statistic(self.statistic, self.params)  # a bad name or parameter fails before any draw
-        symmetric, matrix = _NEEDS.get(self.statistic, (False, False))
+        symmetric, matrix = _TABLE[self.statistic].symmetric, _TABLE[self.statistic].matrix
         for hyp, ens in (("h0", self.h0), ("h1", self.h1)):
             if symmetric and ens.model in ("asym_noise", "asym_spiked") or matrix and ens.k != 2:
                 need = f"{self.statistic} needs a {'symmetric ' * symmetric}{'matrix' if matrix else 'tensor'}"
@@ -562,22 +571,17 @@ class ExperimentSpec:
         t_unknown = set(test) - {"statistic", "threshold", "delta", "params"}
         if t_unknown:
             raise ConfigError("test", f"unknown fields {sorted(t_unknown)}")
-        name = test["statistic"]
-        params = test.get("params")
-        if name == "lr" and (params is None or isinstance(params, dict)):  # the constructor refuses the rest
+        name, params = test["statistic"], test.get("params")
+        entry = _statistic(name)
+        # a clique of size L is a spike of strength L/sqrt(n) (``sample_hidden_clique``)
+        beta = h1.strength / math.sqrt(h1.n) if h1.model == "hidden_clique" else h1.strength
+        if entry.defaults and (params is None or isinstance(params, dict)):  # the constructor refuses the rest
             params = dict(params or {})
-            params.setdefault("beta", h1.strength)
-        threshold = _resolve_threshold(name, test, h1)
-        seed = data.get("seed", 0)
-        return cls(
-            h0=h0,
-            h1=h1,
-            statistic=name,
-            threshold=threshold,
-            trials=data["trials"],
-            seed=seed,
-            params=params,
-        )
+            for key, value in entry.defaults(beta).items():
+                params.setdefault(key, value)
+        threshold = _resolve_threshold(name, entry, test, beta)
+        return cls(h0=h0, h1=h1, statistic=name, threshold=threshold, trials=data["trials"],
+                   seed=data.get("seed", 0), params=params)
 
     def to_json_dict(self) -> dict:
         test: dict = {"statistic": self.statistic, "threshold": self.threshold}
@@ -592,24 +596,21 @@ class ExperimentSpec:
         }
 
 
-def _resolve_threshold(name: str, test: dict, h1: EnsembleSpec) -> float:
+def _resolve_threshold(name: str, entry: _Statistic, test: dict, beta: float) -> float:
     if "threshold" in test and "delta" in test:
         raise ConfigError("test", "give either 'threshold' or 'delta', not both")
     if "threshold" in test:
         return test["threshold"]  # checked once, by ExperimentSpec
     if "delta" in test:
-        if name != "eig":
+        if entry.edge is None:
             raise ConfigError("test.delta", "only the eig statistic takes an edge margin")
         value = _finite_number(test["delta"], "test.delta")
         if value <= 0:
             raise ConfigError("test.delta", f"must be a positive number, got {value!r}")
-        return 2.0 + value
-    if name == "trace":
-        return 0.5 * h1.strength
-    if name == "lr":
-        # log likelihood ratio >= 0 is the equal-prior Bayes rule
-        return 0.0
-    raise ConfigError("test.threshold", f"required for the {name} statistic")
+        return entry.edge + value
+    if entry.cut is None:
+        raise ConfigError("test.threshold", f"required for the {name} statistic")
+    return entry.cut(beta)
 
 
 @dataclass(frozen=True)

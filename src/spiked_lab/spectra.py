@@ -4,9 +4,11 @@
 reduction. ``largest_eigenvalue``, behind the ``eig`` statistic, returns
 the top eigenvalue alone by Lanczos from a fixed start vector: about 100
 matrix-vector products at n = 900, within about sqrt(n) eps |X| of the
-LAPACK value and, up to that rounding, never above it. Each product is the
-loaded OpenBLAS's ``cblas_dsymv`` on the upper triangle where that symbol is
-exported, else ``X @ q`` (MKL, Accelerate, no /proc); the value's bits
+LAPACK value and, up to that rounding, never above it, unless the start
+vector is orthogonal to the top eigenspace: then it can return the second
+eigenvalue (a sampled trial meets that with probability zero). Each product
+is OpenBLAS's ``cblas_dsymv`` on the upper triangle where the loaded library
+exports it, else ``X @ q`` (MKL, Accelerate, no /proc); the value's bits
 depend on which (within about 1e-15 relative), never on the worker count.
 Both read their input through one rule, ``_symmetric_matrix``, and both
 raise NumericalFailure for an eigenvalue that overflows a double.

@@ -48,9 +48,7 @@ from spiked_lab.inference import (
     run_experiment,
     second_moment_asym,
     second_moment_sym,
-    spectral_test_eig,
     trace_stat,
-    trace_test,
     trace_tv,
 )
 from spiked_lab.thresholds import f_beta, g_lambda, g_lambda_critical, sphere_rate
@@ -640,18 +638,10 @@ def test_lr_linear_scale_overflows_to_inf_without_a_warning():
 # --- simple tests and their separation -----------------------------------------
 
 
-def test_trace_stat_and_test():
-    m = np.array([[1.0, 5.0], [-2.0, 2.0]])
-    assert trace_stat(m) == 3.0
-    assert trace_test(m, beta=2.0) == 1  # midpoint cut is 1
-    assert trace_test(m, beta=2.0, threshold=5.0) == 0
+def test_trace_stat():
+    assert trace_stat(np.array([[1.0, 5.0], [-2.0, 2.0]])) == 3.0
     with pytest.raises(ContractError):
         trace_stat(np.zeros((2, 3)))
-    with pytest.raises(ContractError):
-        trace_test(m, beta=-1.0)
-    for bad in (math.nan, -math.inf, "x", "1.0", True):
-        with pytest.raises(ContractError, match="threshold must be a finite number"):
-            trace_test(m, beta=1.0, threshold=bad)
 
 
 def test_trace_tv_pinned_value():
@@ -672,16 +662,6 @@ def test_trace_tv_matches_numeric_distance(beta):
     assert trace_tv(beta) == pytest.approx(0.5 * gap, abs=1e-10)
 
 
-def test_spectral_test_eig_separates():
-    noise = sample_goe(300, trial_rng(8, 0))
-    assert spectral_test_eig(noise) == 0
-    spec = EnsembleSpec(model="sym_spiked", n=300, k=2, strength=2.0, seed=8)
-    spiked = sample_trial(spec, 0)
-    assert spectral_test_eig(spiked) == 1
-    with pytest.raises(ContractError):
-        spectral_test_eig(noise, delta=0.0)
-
-
 # --- statistic registry ----------------------------------------------------------
 
 
@@ -698,6 +678,18 @@ def test_make_statistic_registry():
     assert make_statistic("eig")(x) == pytest.approx(
         float(np.linalg.eigvalsh(x.array)[-1]), abs=1e-10
     )
+
+
+def test_the_readme_documents_every_statistic_in_order():
+    """The README's statistics table has one row per entry of ``STATISTICS``, so none goes undocumented."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    head = next(i for i, line in enumerate(lines) if line.startswith("| statistic |"))
+    names = []
+    for line in lines[head + 2:]:
+        if not line.startswith("|"):
+            break
+        names.append(line.split("|")[1].strip().strip("`"))
+    assert names == list(STATISTICS)
 
 
 def test_randomized_statistics_are_deterministic():
@@ -748,6 +740,50 @@ def test_experiment_spec_default_thresholds():
     spec = ExperimentSpec.from_json_dict(data)
     assert spec.threshold == 0.0
     assert spec.params["beta"] == 1.8  # borrowed from the alternative
+
+
+@pytest.mark.parametrize("n,L", [(400, 40), (300, 30)])
+def test_a_clique_alternative_defaults_to_its_induced_spike(n, L):
+    """A clique of size L is a spike of strength L/sqrt(n): the trace midpoint and the
+    lr strength read that, not L (at n = 400, L = 40 a cut of L/2 = 20 never fired)."""
+    data = _eig_experiment_dict(
+        h0={"model": "goe", "n": n, "seed": 11},
+        h1={"model": "hidden_clique", "n": n, "strength": L, "seed": 12},
+        test={"statistic": "trace"},
+    )
+    assert ExperimentSpec.from_json_dict(data).threshold == L / (2 * math.sqrt(n))
+    data["test"] = {"statistic": "lr", "params": {"samples": 64}}
+    spec = ExperimentSpec.from_json_dict(data)
+    assert spec.threshold == 0.0
+    assert list(spec.params.items()) == [("samples", 64), ("beta", L / math.sqrt(n))]
+    data["test"]["params"]["beta"] = 0.5
+    assert ExperimentSpec.from_json_dict(data).params["beta"] == 0.5  # a given strength is kept
+
+
+def test_the_clique_trace_midpoint_separates():
+    """The trace of a clique draw moves by L/sqrt(n) = 2 here, against N(0, 2) noise."""
+    data = _eig_experiment_dict(
+        h0={"model": "goe", "n": 100, "seed": 11},
+        h1={"model": "hidden_clique", "n": 100, "strength": 20, "seed": 12},
+        test={"statistic": "trace"},
+    )
+    result = run_experiment(ExperimentSpec.from_json_dict(data), workers=1)
+    assert result.fpr < 0.4 and result.power > 0.6
+
+
+@pytest.mark.parametrize("statistic", ["eig", "frob", "opnorm"])
+def test_a_statistic_without_a_default_cut_needs_a_threshold(statistic):
+    with pytest.raises(ConfigError) as err:
+        ExperimentSpec.from_json_dict(_eig_experiment_dict(test={"statistic": statistic}))
+    assert err.value.field == "test.threshold"
+    assert str(err.value) == f"test.threshold: required for the {statistic} statistic"
+
+
+@pytest.mark.parametrize("statistic", [name for name in STATISTICS if name != "eig"])
+def test_only_eig_takes_an_edge_margin(statistic):
+    with pytest.raises(ConfigError) as err:
+        ExperimentSpec.from_json_dict(_eig_experiment_dict(test={"statistic": statistic, "delta": 0.1}))
+    assert str(err.value) == "test.delta: only the eig statistic takes an edge margin"
 
 
 @pytest.mark.parametrize("field", ["trials", "seed"])
@@ -897,8 +933,6 @@ REAL_ARGUMENTS = {
     "second_moment_asym": lambda v: second_moment_asym(v, 10, 3),
     "likelihood_ratio_mc": lambda v: likelihood_ratio_mc(_M, v, 4, np.random.default_rng(0)),
     "trace_tv": trace_tv,
-    "trace_test": lambda v: trace_test(_M, v),
-    "spectral_test_eig": lambda v: spectral_test_eig(_M, v),
     "first_coord_tail_logprob": lambda v: first_coord_tail_logprob(v, 10),
     "sphere_rate": sphere_rate,
     "f_beta": lambda v: f_beta(0.5, v, 3),
@@ -948,14 +982,9 @@ def test_experiment_spec_validation():
         ExperimentSpec.from_json_dict(
             _eig_experiment_dict(test={"statistic": "eig", "delta": 0.1, "threshold": 2.1})
         )
-    with pytest.raises(ConfigError):
-        ExperimentSpec.from_json_dict(
-            _eig_experiment_dict(test={"statistic": "trace", "delta": 0.1})
-        )
-    with pytest.raises(ConfigError):
-        ExperimentSpec.from_json_dict(
-            _eig_experiment_dict(test={"statistic": "frob"})  # no default cut
-        )
+    with pytest.raises(ConfigError) as err:  # an unknown name is named before a missing threshold
+        ExperimentSpec.from_json_dict(_eig_experiment_dict(test={"statistic": "median"}))
+    assert err.value.field == "test.statistic"
     with pytest.raises(ConfigError):
         ExperimentSpec.from_json_dict(
             _eig_experiment_dict(test={"statistic": "eig", "bandwidth": 1})
