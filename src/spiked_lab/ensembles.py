@@ -15,8 +15,10 @@ neither on the worker count nor, where OpenBLAS is found, on the BLAS
 thread count. The ``eig`` statistic's Lanczos iteration starts from a
 fixed vector that no trial, worker count or keyword changes. Its products
 X q come from the loaded OpenBLAS's ``cblas_dsymv`` where that is exported,
-else from ``X @ q``; its bits depend on which of the two the platform has
-(the values agree within about 1e-15 relative), never on the worker count.
+else from ``X @ q``, and its Ritz pairs from OpenBLAS's ``LAPACKE_dstevx``,
+else from a dense ``eigh``; its bits depend on which of these the platform
+has (the values agree within about 1e-15 relative), never on the worker
+count.
 A statistic may take a block of consecutive trials of one spec at once
 (``opnorm`` does, one stacked power iteration a block); each trial's value
 keeps the bits it has alone, so how the trials fall into blocks, which the

@@ -8,6 +8,7 @@ rather than in the per-module suites; expect a few minutes of runtime.
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -211,11 +212,13 @@ def test_noise_inner_product_variance_identity():
     ]
     flat = np.stack([p.array.reshape(-1) for p in probes])
     targets = 2.0 * np.sum(flat * flat, axis=1) / n
-    rng = trial_rng(777, 0)
-    vals = np.empty((5, m))
-    for i in range(m):
-        z = sample_sym_noise(n, k, rng).array.reshape(-1)
-        vals[:, i] = flat @ z
+
+    def inner_products(trials: range) -> np.ndarray:
+        """Draw t from its own key, trial_rng(777, t), so the draws split over threads."""
+        return np.stack([flat @ sample_sym_noise(n, k, trial_rng(777, t)).array.reshape(-1) for t in trials], axis=1)
+
+    with ThreadPoolExecutor(2) as pool:  # the Philox draw releases the GIL
+        vals = np.concatenate(list(pool.map(inner_products, (range(m // 2), range(m // 2, m)))), axis=1)
     sample_var = np.var(vals, axis=1, ddof=1)
     tol = 3.0 * targets * math.sqrt(2.0 / (m - 1))
     errs = np.abs(sample_var - targets)

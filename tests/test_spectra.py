@@ -2,6 +2,7 @@ import ctypes
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,7 +103,19 @@ def product(request, monkeypatch):
     return request.param
 
 
-def test_largest_eigenvalue_matches_exact_rational_bisection(product):
+@pytest.fixture(params=["dstevx", "eigh"])
+def tridiagonal(request, monkeypatch):
+    """Each Ritz pair path in turn: the loaded OpenBLAS's LAPACKE_dstevx, and
+    a dense ``numpy.linalg.eigh`` of T_m with that symbol hidden."""
+    if request.param == "dstevx":
+        if spectra._stevx() is None:
+            pytest.skip("no OpenBLAS LAPACKE_dstevx is loaded in this process")
+    else:
+        monkeypatch.setattr(spectra, "_stevx", lambda: None)
+    return request.param
+
+
+def test_largest_eigenvalue_matches_exact_rational_bisection(product, tridiagonal):
     """100 random 6x6 matrices against the exact Sturm-chain top root."""
     for seed in range(100):
         m = sym_matrix(6, 1000 + seed)
@@ -128,7 +141,7 @@ def _structured():
 
 
 @pytest.mark.parametrize("name", list(_structured()))
-def test_largest_eigenvalue_structured_cases_match_exact_bisection(name, product):
+def test_largest_eigenvalue_structured_cases_match_exact_bisection(name, product, tridiagonal):
     """Repeated tops, breakdown after one or two steps, and n = 1, 2: every
     exit of the iteration, with no invalid operation at breakdown."""
     m = _structured()[name]
@@ -141,7 +154,7 @@ def test_largest_eigenvalue_structured_cases_match_exact_bisection(name, product
 
 
 @pytest.mark.parametrize("power", [-1000, -560, 560, 1000])
-def test_largest_eigenvalue_at_any_scale(power, product):
+def test_largest_eigenvalue_at_any_scale(power, product, tridiagonal):
     """2^power X has the top eigenvalue 2^power lambda: no norm may underflow
     to a false breakdown or overflow into a NumericalFailure."""
     m = sym_matrix(6, 11)
@@ -162,7 +175,7 @@ def _statistic_cases(n):
 
 
 @pytest.mark.parametrize("n", [200, 500, 900, 1000])
-def test_largest_eigenvalue_matches_eigvalsh_at_scale(n, product):
+def test_largest_eigenvalue_matches_eigvalsh_at_scale(n, product, tridiagonal):
     """The eig statistic's shapes against LAPACK. The reference rounds too,
     by the same sqrt(n) model, so the bound is the Lanczos one plus
     2 sqrt(n) eps |X|; a Ritz value is a lower bound up to that rounding."""
@@ -222,6 +235,104 @@ def test_the_symmetric_product_is_bound_wherever_openblas_is():
     lib.dsymv(_blas.ROW_MAJOR, _blas.UPPER, 5, 1.0, x.ctypes.data, 5, q.ctypes.data, 1, 0.0, w.ctypes.data, 1)
     # each of the two 5-term sums is within 5 eps sum |x_ij q_j| of the exact one
     assert np.all(np.abs(w - x @ q) <= 2 * 5 * EPS * (np.abs(x) @ np.abs(q)))
+
+
+def test_the_tridiagonal_solver_is_bound_wherever_openblas_is():
+    """As for the product: a silent fall back to the dense ``eigh`` would cost
+    O(m^3) a check with no other test failing. The integer arguments and the
+    returned info take the config string's width, and a call gives the top
+    two eigenvalues of T and the last entry of the top eigenvector."""
+    if _openblas_threads() is None:
+        pytest.skip("no OpenBLAS is loaded in this process")
+    lib = _blas.openblas()
+    assert lib.dstevx is not None and spectra._stevx() is lib.dstevx
+    size = 8 if "USE64BITINT" in lib.config.split() else 4
+    assert all(ctypes.sizeof(lib.dstevx.argtypes[i]) == size for i in (3, 8, 9, 14))
+    assert ctypes.sizeof(lib.dstevx.restype) == size
+    rng = np.random.default_rng(14)
+    m = 7
+    alpha, beta = rng.standard_normal(m), rng.uniform(0.5, 1.5, m - 1)
+    got = spectra._ritz(alpha, beta)
+    want, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+    # both solvers are backward stable: each eigenvalue within m eps |T| of
+    # the exact one, and the unit eigenvector within that over the gap
+    norm = float(np.max(np.abs(want)))
+    bound = 2 * m * EPS * norm
+    assert abs(got[0] - want[-1]) <= bound and abs(got[1] - want[-2]) <= bound
+    assert abs(abs(got[2]) - abs(s[-1, -1])) <= bound / (want[-1] - want[-2])
+
+
+def test_a_2x2_ritz_pair_matches_its_closed_form(tridiagonal):
+    """The smallest T a check can see: eigenvalues (a + c)/2 +- sqrt(((a - c)/2)^2
+    + b^2), the top eigenvector along (b, theta_1 - a), to 50 digits."""
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        a, c = rng.standard_normal(2)
+        b = float(rng.uniform(1e-3, 2.0))
+        top, second, s = spectra._ritz(np.array([a, c]), np.array([b]))
+        with mpmath.workdps(50):
+            ea, eb, ec = (mpmath.mpf(float(v)) for v in (a, b, c))
+            mid, rad = (ea + ec) / 2, mpmath.sqrt(((ea - ec) / 2) ** 2 + eb**2)
+            want = (float(mid + rad), float(mid - rad), float((mid + rad - ea) / mpmath.hypot(eb, mid + rad - ea)))
+        bound = 2 * 2 * EPS * max(abs(want[0]), abs(want[1]))  # m eps |T| each, m = 2
+        assert abs(top - want[0]) <= bound and abs(second - want[1]) <= bound
+        assert abs(abs(s) - want[2]) <= bound / (want[0] - want[1])
+
+
+def test_a_repeated_top_pair_never_passes_the_stop_test(tridiagonal):
+    """T's top two eigenvalues equal in floating point: a gap of 0 passes no
+    residual above 0, and the test divides by nothing."""
+    cases = [([1.0, 1.0], [1e-200]), ([2.0, 2.0, 2.0], [1e-170, 1e-170])]
+    for alpha, beta in cases:
+        alpha, beta = np.array(alpha), np.array(beta)
+        top, second, _ = spectra._ritz(alpha, beta)
+        assert top == second
+        with np.errstate(all="raise"):
+            for b in (1.0, 1e-100):
+                assert spectra._converged(alpha, beta, b) is None
+
+
+def test_a_tridiagonal_solver_failure_is_a_numerical_failure():
+    """LAPACKE_dstevx returns info -5 for a NaN on the diagonal (its NaN check)."""
+    if spectra._stevx() is None:
+        pytest.skip("no OpenBLAS LAPACKE_dstevx is loaded in this process")
+    with pytest.raises(NumericalFailure, match="info"):
+        spectra._ritz(np.array([1.0, np.nan, 2.0]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("left", [1e-12, 0.5])
+def test_reorthogonalization_leaves_only_rounding_along_the_basis(left):
+    """w mostly inside the span of 10 orthonormal rows, with ``left`` of it
+    outside. One classical Gram-Schmidt pass leaves about eps |w| along the
+    rows, which next to a remainder of 1e-12 |w| is no longer rounding; the
+    second pass takes it out. Each pass is backward stable: its products
+    err by at most n eps and m eps relative, so what it leaves along the
+    rows is within (n sqrt(m) + (m + 1)(1 + sqrt(m))) eps of |w| before it,
+    and the pass that ends it kept at least 1/sqrt(2) of that."""
+    n, m = 60, 10
+    rng = np.random.default_rng(16)
+    prior = np.linalg.qr(rng.standard_normal((n, m)))[0].T.copy()
+    inside, outside = prior.T @ rng.standard_normal(m), rng.standard_normal(n)
+    for _ in range(2):
+        outside -= prior.T @ (prior @ outside)
+    w = inside + left * (np.linalg.norm(inside) / np.linalg.norm(outside)) * outside
+    after = spectra._orthogonalize(w, prior, np.empty(n))
+    assert after == w @ w
+    bound = (n * math.sqrt(m) + (m + 1) * (1 + math.sqrt(m))) * EPS * math.sqrt(2.0 * after)
+    assert np.max(np.abs(prior @ w)) <= bound
+
+
+def test_the_lanczos_start_vector_is_built_once_per_n_and_read_only():
+    """Every call of one n shares the vector; a write to it would move every
+    later eig value, so none is allowed. Its bits are the first n standard
+    normals of Philox at key (0, 2^64 - 1), normalized."""
+    q = spectra._lanczos_start(50)
+    assert spectra._lanczos_start(50) is q
+    assert not q.flags.writeable
+    with pytest.raises(ValueError):
+        q[0] = 0.0
+    g = np.random.Generator(np.random.Philox(key=np.array([0, (1 << 64) - 1], dtype=np.uint64))).standard_normal(50)
+    assert np.array_equal(q, g / np.linalg.norm(g))
 
 
 def test_ks_distance_extremes():
