@@ -26,6 +26,7 @@ from .inference import (
     second_moment_asym,
     second_moment_sym,
 )
+from .spectra import _lanczos_step_path
 from .tensors import _JSON_MAX_ENTRIES, save_tensor, tensor_to_json
 from .thresholds import _lambda_from_beta, beta_star, beta_star_asymptotic, sphere_rate
 
@@ -144,7 +145,8 @@ def _cmd_experiment(args) -> dict | str:
     result = run_experiment(spec, workers=args.threads)
     if args.format == "csv":
         return result.rows_csv()
-    return {**result.to_json_dict(), "meta": {"workers": result.workers, "blas_threads": result.blas_threads}}
+    meta = {"workers": result.workers, "blas_threads": result.blas_threads, "lanczos_step": _lanczos_step_path()}
+    return {**result.to_json_dict(), "meta": meta}
 
 
 def _cmd_rate(args) -> dict:

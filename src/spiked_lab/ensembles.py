@@ -13,12 +13,13 @@ be regenerated in isolation. Gaussians come from numpy's
 run with the loaded OpenBLAS held to one thread, so their bits depend
 neither on the worker count nor, where OpenBLAS is found, on the BLAS
 thread count. The ``eig`` statistic's Lanczos iteration starts from a
-fixed vector that no trial, worker count or keyword changes. Its products
-X q come from the loaded OpenBLAS's ``cblas_dsymv`` where that is exported,
-else from ``X @ q``, and its Ritz pairs from OpenBLAS's ``LAPACKE_dstevx``,
-else from a dense ``eigh``; its bits depend on which of these the platform
-has (the values agree within about 1e-15 relative), never on the worker
-count.
+fixed vector that no trial, worker count or keyword changes. Its steps
+come from the loaded OpenBLAS where that exports ``cblas_dsymv`` and the
+GIL-held ``cblas_ddot``, ``cblas_daxpy`` and ``cblas_dgemv``, else from
+``X @ q`` and numpy's vector calls, and its Ritz pairs from OpenBLAS's
+``LAPACKE_dstevx``, else from a dense ``eigh``; its bits depend on which of
+these the platform has (the two steps differ by about an ulp a step, and
+the values agree within about 1e-15 relative), never on the worker count.
 A statistic may take a block of consecutive trials of one spec at once
 (``opnorm`` does, one stacked power iteration a block); each trial's value
 keeps the bits it has alone, so how the trials fall into blocks, which the
@@ -477,6 +478,7 @@ def _evaluate(jobs: Sequence[tuple], workers: int | None) -> tuple[tuple[SampleB
                 block = range(b, min(b + size, stop))
                 tensors = [sample_trial(spec, t, context) for t in block]
                 out[block.start:block.stop] = guarded(statistic, label, tensors, block, spec=spec, context=context)
+                del tensors  # else they stay alive while the next block is drawn: one more n x n matrix a worker
 
     cells = offsets[-1]
     chunk = -(-cells // workers)

@@ -6,13 +6,16 @@ the top eigenvalue alone by Lanczos from a fixed start vector: about 100
 matrix-vector products at n = 900, within about sqrt(n) eps |X| of the
 LAPACK value and, up to that rounding, never above it, unless the start
 vector is orthogonal to the top eigenspace: then it can return the second
-eigenvalue (a sampled trial meets that with probability zero). Each product
-is OpenBLAS's ``cblas_dsymv`` on the upper triangle where the loaded library
-exports it, else ``X @ q`` (MKL, Accelerate, no /proc), and each stop test
-reads the top Ritz pair from its ``LAPACKE_dstevx`` in O(m), else from a
-dense ``eigh`` of the m x m tridiagonal; the value's bits depend on which
-paths the platform has (within about 1e-15 relative), never on the worker
-count.
+eigenvalue (a sampled trial meets that with probability zero). Where the
+loaded OpenBLAS exports them, each step is one ``cblas_dsymv`` on the upper
+triangle, the step's one call that releases the GIL, and its vector work is
+``cblas_ddot``, ``cblas_daxpy`` and ``cblas_dgemv`` with the GIL held, so
+two threads in Lanczos at once do not trade the GIL a dozen times a step;
+else the step is ``X @ q`` and numpy's vector calls (MKL, Accelerate, no
+/proc). Each stop test reads the top Ritz pair from OpenBLAS's
+``LAPACKE_dstevx`` in O(m), else from a dense ``eigh`` of the m x m
+tridiagonal. The value's bits depend on which of these paths the platform
+has (within about 1e-15 relative), never on the worker count.
 Both read their input through one rule, ``_symmetric_matrix``, and both
 raise NumericalFailure for an eigenvalue that overflows a double.
 """
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import COL_MAJOR, ROW_MAJOR, UPPER, openblas
+from ._blas import COL_MAJOR, NO_TRANS, ROW_MAJOR, TRANS, UPPER, openblas
 from .errors import ContractError, NumericalFailure, SpikedLabError
 from .tensors import SymmetricTensor, _as_array
 
@@ -39,6 +42,10 @@ _ABSTOL = 2.0 * float(np.finfo(np.float64).tiny)
 _BASIS_BLOCK = 32
 _CHECK_FROM = 20
 _CHECK_EVERY = 10
+# The largest |shift| of the scaling 2^shift X: 2^shift stays a normal double, so does 2^shift q_j
+# inside dsymv for |q_j| >= 2^-60, and a scaled product that the clamp leaves above 2^64 or below
+# 2^-114 (X near the largest double, or subnormal) still has a finite, nonzero square norm
+_MAX_SHIFT = 960
 
 
 @dataclass(frozen=True)
@@ -113,10 +120,19 @@ def _lanczos_start(n: int) -> np.ndarray:
     return q
 
 
-def _symv():
-    """The loaded OpenBLAS's typed ``cblas_dsymv``, or None (another BLAS, no /proc)."""
+def _lanczos_blas():
+    """The loaded OpenBLAS where it exports every call of the BLAS Lanczos step
+    (``cblas_dsymv``, and the GIL-held ``cblas_ddot``, ``cblas_daxpy`` and
+    ``cblas_dgemv``), else None (another BLAS, no /proc)."""
     lib = openblas()
-    return None if lib is None else lib.dsymv
+    if lib is None or None in (lib.dsymv, lib.ddot, lib.daxpy, lib.dgemv):
+        return None
+    return lib
+
+
+def _lanczos_step_path() -> str:
+    """Which Lanczos step this process runs: ``"openblas"`` or ``"numpy"``."""
+    return "numpy" if _lanczos_blas() is None else "openblas"
 
 
 def _stevx():
@@ -138,15 +154,23 @@ def largest_eigenvalue(x) -> float:
     """The largest eigenvalue of a symmetric matrix, by Lanczos with full reorthogonalization.
 
     Same input rule as ``eigvals_sym``. The Krylov space of the fixed start
-    vector ``_lanczos_start(n)`` grows by one product X q a step: the loaded
-    OpenBLAS's ``cblas_dsymv`` on the upper triangle where it is exported
-    (half the memory traffic of a general product), else ``X @ q``. Each new
+    vector ``_lanczos_start(n)`` grows by one product X q a step. Each new
     direction loses its alpha q_m and beta q_(m-1) parts, then is
     orthogonalized against the whole basis (``_orthogonalize``: a second
     Gram-Schmidt pass only where the first cancelled), which starts at
-    ``_BASIS_BLOCK`` rows and doubles when full. The value is the top Ritz
-    value theta_1, the largest eigenvalue of the tridiagonal projection T_m,
-    at the first of:
+    ``_BASIS_BLOCK`` rows and doubles when full. The step's work is done by
+    one of two sets of calls, chosen once a call:
+
+    - ``_BlasStep`` where the loaded OpenBLAS exports them: ``cblas_dsymv``
+      on the upper triangle (half the memory traffic of a general product),
+      the one call of the step that releases the GIL, and ``cblas_ddot``,
+      ``cblas_daxpy`` and ``cblas_dgemv`` with the GIL held, so two threads
+      running Lanczos side by side do not trade the GIL a dozen times a step;
+    - ``_NumpyStep`` else (MKL, Accelerate, no /proc): ``X @ q`` and numpy's
+      vector calls.
+
+    The value is the top Ritz value theta_1, the largest eigenvalue of the
+    tridiagonal projection T_m, at the first of:
 
     - the gap-aware residual test ``_converged``, checked every
       ``_CHECK_EVERY`` steps from step ``_CHECK_FROM``: r^2 <= eps |T|
@@ -160,42 +184,43 @@ def largest_eigenvalue(x) -> float:
     The Ritz values come from ``_ritz``: the loaded OpenBLAS's
     ``LAPACKE_dstevx`` in O(m) where it is exported, else a dense ``eigh``.
     The iteration runs on 2^shift X, the power of two chosen from the first
-    product, so no norm under- or overflows at any scale of X, and the
-    scaling is exact. A Ritz value never exceeds the top eigenvalue, up to
-    rounding of order sqrt(n) eps |X|. It misses the top eigenvalue only if
-    the start vector is orthogonal to its eigenspace. The products and the
-    tridiagonal solvers round differently, so the value's bits depend on
-    which the platform has (within about 1e-15 relative), never on a thread
-    or worker count while OpenBLAS is held to one thread. A product X q or a
-    top eigenvalue that overflows a double is a NumericalFailure, not a
-    warning or an inf.
+    product and clamped to |shift| <= ``_MAX_SHIFT``, so no norm under- or
+    overflows at any scale of X, 2^shift is a double, and the scaling is
+    exact. A Ritz value never exceeds the top eigenvalue, up to rounding of
+    order sqrt(n) eps |X|. It misses the top eigenvalue only if the start
+    vector is orthogonal to its eigenspace. The two steps round differently
+    (``daxpy`` may fuse the multiply and the subtraction that numpy rounds
+    twice), and so do the two tridiagonal solvers, so the value's bits
+    depend on which the platform has (within about 1e-15 relative), never
+    on a thread or worker count while OpenBLAS is held to one thread. A call
+    keeps all its state to itself, so calls on several threads at once
+    return what each returns alone. A product X q or a top eigenvalue that
+    overflows a double is a NumericalFailure, not a warning or an inf.
     """
     sym = _symmetric_matrix(x)
     n = sym.shape[0]
-    dsymv = _symv()
-    basis = np.empty((min(_BASIS_BLOCK, n), n))
+    lib = _lanczos_blas()
+    step = _NumpyStep(sym) if lib is None else _BlasStep(lib, sym)
+    # q_m is row m - 1 and the new direction w of step m is row m, zero before its product
+    basis = np.zeros((min(_BASIS_BLOCK, n) + 1, n))
     basis[0] = _lanczos_start(n)
-    w, swept = np.empty(n), np.empty(n)
+    step.rebase(basis)
     alpha, beta = np.empty(n), np.empty(n)
+    shift = None
     for m in range(1, n + 1):
-        q = basis[m - 1]
-        if dsymv is None:
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
-                np.matmul(sym, q, out=w)
-        else:  # beta 0 and a zeroed output: nothing in w is read
-            w.fill(0.0)
-            dsymv(ROW_MAJOR, UPPER, n, 1.0, sym.ctypes.data, n, q.ctypes.data, 1, 0.0, w.ctypes.data, 1)
-        if m == 1:  # max |2^shift X q_1| is in [1/2, 1); frexp of inf or NaN gives 0
-            shift = -math.frexp(float(np.max(np.abs(w))))[1]
-        np.ldexp(w, shift, out=w)
-        w_norm = math.sqrt(w @ w)
+        w = basis[m]
+        step.product(m, shift)
+        if m == 1:  # max |2^shift X q_1| is in [1/2, 1) unless clamped; frexp of inf or NaN gives 0
+            shift = min(max(-math.frexp(float(np.max(np.abs(w))))[1], -_MAX_SHIFT), _MAX_SHIFT)
+            np.ldexp(w, shift, out=w)
+        w_norm = math.sqrt(step.dot(m, m))
         if not math.isfinite(w_norm):  # q_1 has no zero entry: an inf in a SymmetricTensor shows at step 1
             raise _overflow(sym, f"X q at Lanczos step {m}")
-        alpha[m - 1] = q @ w
-        w -= np.multiply(q, alpha[m - 1], out=swept)
+        alpha[m - 1] = step.dot(m - 1, m)
+        step.subtract(alpha[m - 1], m - 1, m)
         if m > 1:
-            w -= np.multiply(basis[m - 2], beta[m - 2], out=swept)
-        b = math.sqrt(_orthogonalize(w, basis[:m], swept))
+            step.subtract(beta[m - 2], m - 2, m)
+        b = math.sqrt(_orthogonalize(step, m))
         if m == n or b <= _EPS * w_norm:  # also b == 0, which is never divided by
             theta = _ritz(alpha[:m], beta[: m - 1])[0]
             break
@@ -204,29 +229,98 @@ def largest_eigenvalue(x) -> float:
             if theta is not None:
                 break
         beta[m - 1] = b
-        if m == len(basis):
-            basis = np.concatenate([basis, np.empty((min(m, n - m), n))])
-        np.divide(w, b, out=basis[m])
+        np.divide(w, b, out=w)
+        if m + 1 == len(basis):
+            basis = np.concatenate([basis, np.zeros((min(m, n - m), n))])
+            step.rebase(basis)
     try:
         return math.ldexp(theta, -shift)
     except OverflowError:  # X is finite here: its first product was
         raise NumericalFailure("the top eigenvalue overflows a double") from None
 
 
-def _orthogonalize(w: np.ndarray, prior: np.ndarray, swept: np.ndarray) -> float:
-    """Takes out of w, in place, its parts along the orthonormal rows of prior,
-    and returns |w|^2 after.
+class _NumpyStep:
+    """The calls of a Lanczos step by numpy, for a BLAS without the GIL-held
+    ones. They act on rows of the basis of the last ``rebase``, by index:
+    the step's new direction is row m."""
+
+    def __init__(self, sym: np.ndarray):
+        self.sym, self.swept = sym, np.empty(sym.shape[0])
+
+    def rebase(self, basis: np.ndarray) -> None:
+        self.basis, self.rows = basis, list(basis)
+
+    def product(self, m: int, shift: int | None) -> None:
+        """Row m = 2^shift X row m - 1 (X row m - 1 while shift is None)."""
+        w = self.rows[m]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught by the caller
+            np.matmul(self.sym, self.rows[m - 1], out=w)
+        if shift is not None:
+            np.ldexp(w, shift, out=w)
+
+    def dot(self, i: int, j: int) -> float:
+        return float(self.rows[i] @ self.rows[j])
+
+    def subtract(self, c: float, i: int, m: int) -> None:
+        """Row m -= c row i."""
+        self.rows[m] -= np.multiply(self.rows[i], c, out=self.swept)
+
+    def project(self, m: int) -> None:
+        """Row m loses its parts along rows 0 to m - 1: one classical Gram-Schmidt pass."""
+        prior, w = self.basis[:m], self.rows[m]
+        w -= np.matmul(prior @ w, prior, out=self.swept)
+
+
+class _BlasStep:
+    """The same calls by the loaded OpenBLAS: ``dsymv``, which releases the
+    GIL for its 100 us or more, and ``ddot``, ``daxpy`` and ``dgemv``, which
+    keep it. Each address is read once, as a ``.ctypes.data`` read costs
+    about as much as a short BLAS call: X's and the scratch's per call, the
+    rows' per ``rebase``."""
+
+    def __init__(self, lib, sym: np.ndarray):
+        self.lib, self.sym, self.n, self.swept = lib, sym, sym.shape[0], np.empty(sym.shape[0])
+        self.sym_at, self.swept_at = sym.ctypes.data, self.swept.ctypes.data
+
+    def rebase(self, basis: np.ndarray) -> None:
+        at, stride = basis.ctypes.data, basis.strides[0]
+        self.basis, self.rows = basis, [at + i * stride for i in range(len(basis))]
+
+    def product(self, m: int, shift: int | None) -> None:
+        """As for numpy, with 2^shift as dsymv's alpha, exact in the clamped
+        range of shift. Beta is 0 and the row is zero, so nothing in it is read."""
+        scale = 1.0 if shift is None else math.ldexp(1.0, shift)
+        self.lib.dsymv(ROW_MAJOR, UPPER, self.n, scale, self.sym_at, self.n, self.rows[m - 1], 1, 0.0,
+                       self.rows[m], 1)
+
+    def dot(self, i: int, j: int) -> float:
+        return self.lib.ddot(self.n, self.rows[i], 1, self.rows[j], 1)
+
+    def subtract(self, c: float, i: int, m: int) -> None:
+        self.lib.daxpy(self.n, -c, self.rows[i], 1, self.rows[m], 1)
+
+    def project(self, m: int) -> None:
+        """The numpy pass as two dgemv calls: the m coefficients into the
+        scratch, then row m minus the rows they weigh (beta 1)."""
+        rows, n = self.rows, self.n
+        self.lib.dgemv(ROW_MAJOR, NO_TRANS, m, n, 1.0, rows[0], n, rows[m], 1, 0.0, self.swept_at, 1)
+        self.lib.dgemv(ROW_MAJOR, TRANS, m, n, -1.0, rows[0], n, self.swept_at, 1, 1.0, rows[m], 1)
+
+
+def _orthogonalize(step: _NumpyStep | _BlasStep, m: int) -> float:
+    """Takes out of the step's row m, in place, its parts along the
+    orthonormal rows 0 to m - 1, and returns |row m|^2 after.
 
     One classical Gram-Schmidt pass leaves parts of order eps |w| along the
     rows, |w| as it was before the pass. Where the pass cancelled most of w
     those parts are large next to what is left, so a second pass is made
     where the first left less than 1/sqrt(2) of |w| (Daniel, Gragg, Kaufman
-    and Stewart, Math. Comp. 30, 1976). ``swept`` is scratch of w's size.
+    and Stewart, Math. Comp. 30, 1976).
     """
-    before = float(w @ w)
+    before = step.dot(m, m)
     for _ in range(2):
-        w -= np.matmul(prior @ w, prior, out=swept)
-        after = float(w @ w)
+        step.project(m)
+        after = step.dot(m, m)
         if 2.0 * after >= before:
             break
         before = after

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spiked_lab import _blas, spectra
 from spiked_lab.cli import main
 from spiked_lab.ensembles import EnsembleSpec, _openblas_threads, sample_trial, sub_seed_hex
 from spiked_lab.inference import (
@@ -288,6 +289,17 @@ def test_experiment_refuses_trials_over_the_entry_budget(capsys, no_pool, trials
         code, out, err = run_cli(capsys, "experiment", *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: trials: must be an integer in [1, 100000000]") and err.count("\n") == 1
+
+
+def test_experiment_meta_names_the_lanczos_step_path(capsys, monkeypatch):
+    """``"openblas"`` exactly where the loaded OpenBLAS has dsymv and the
+    GIL-held ddot, daxpy and dgemv, ``"numpy"`` where they are hidden."""
+    lib = _blas.openblas()
+    full = lib is not None and None not in (lib.dsymv, lib.ddot, lib.daxpy, lib.dgemv)
+    payload = run_json(capsys, "experiment", "--spec", json.dumps(EXPERIMENT))
+    assert payload["meta"]["lanczos_step"] == ("openblas" if full else "numpy")
+    monkeypatch.setattr(spectra, "_lanczos_blas", lambda: None)
+    assert run_json(capsys, "experiment", "--spec", json.dumps(EXPERIMENT))["meta"]["lanczos_step"] == "numpy"
 
 
 def test_experiment_threads_env(capsys, monkeypatch):

@@ -559,6 +559,21 @@ def test_goe_sampler_folds_in_place():
 # --- batching ---------------------------------------------------------------
 
 
+def test_a_worker_drops_each_trial_before_drawing_the_next():
+    """A worker holds one trial's matrix at a time: keeping the last one
+    while the next is drawn would put a second n x n matrix beside the draw
+    and its fold tiles, in every worker."""
+    n = 512
+    spec = EnsembleSpec(model="goe", n=n, seed=23)
+    tracemalloc.start()
+    try:
+        batch_statistics(spec, 4, lambda x, **kw: float(np.trace(x.array)), workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * n * n
+
+
 def frob_stat(tensor, **kw):
     return float(np.linalg.norm(tensor.array))
 

@@ -1,5 +1,7 @@
 import ctypes
 import math
+import sys
+import threading
 import tracemalloc
 
 import mpmath
@@ -11,7 +13,7 @@ from scipy.linalg import block_diag
 from scipy.stats import ks_2samp
 
 from spiked_lab import _blas, spectra
-from spiked_lab.ensembles import EnsembleSpec, _openblas_threads, sample_goe, sample_trial, trial_rng
+from spiked_lab.ensembles import EnsembleSpec, _one_blas_thread, _openblas_threads, sample_goe, sample_trial, trial_rng
 from spiked_lab.errors import ContractError, NumericalFailure
 from spiked_lab.spectra import (
     Spectrum,
@@ -93,13 +95,14 @@ def lanczos_bound(n: int, norm: float) -> float:
 
 @pytest.fixture(params=["dsymv", "matmul"])
 def product(request, monkeypatch):
-    """Each Lanczos product path in turn: the loaded OpenBLAS's cblas_dsymv,
-    and ``X @ q`` with that symbol hidden, as on MKL or without /proc."""
+    """Each Lanczos step path in turn: the loaded OpenBLAS's cblas_dsymv with
+    its GIL-held ddot, daxpy and dgemv, and ``X @ q`` with numpy's vector
+    calls, those symbols hidden as on MKL or without /proc."""
     if request.param == "dsymv":
-        if spectra._symv() is None:
-            pytest.skip("no OpenBLAS cblas_dsymv is loaded in this process")
+        if spectra._lanczos_blas() is None:
+            pytest.skip("no OpenBLAS with the Lanczos step's calls is loaded in this process")
     else:
-        monkeypatch.setattr(spectra, "_symv", lambda: None)
+        monkeypatch.setattr(spectra, "_lanczos_blas", lambda: None)
     return request.param
 
 
@@ -164,6 +167,21 @@ def test_largest_eigenvalue_at_any_scale(power, product, tridiagonal):
     assert abs(math.ldexp(got, -power) - largest_eigval_sturm(m)) <= bound
 
 
+def test_a_matrix_of_subnormal_entries_keeps_its_scaling_a_double(product, tridiagonal):
+    """The first product of X = 2^-1062 M is subnormal, and a shift of its
+    exponent would make 2^shift overflow a double: the shift is clamped.
+    Bounds in units of 2^-1062, where X is M as stored: a subnormal product
+    errs by up to 2^-13 a term, absolutely, so each product is X q plus an
+    error of norm n^1.5 2^-13 at most, and over m <= n steps the top Ritz
+    value moves by at most sqrt(n) times that; the subnormal result rounds
+    by up to 2^-13 more."""
+    x = np.ldexp(sym_matrix(6, 11), -1062)
+    stored = np.ldexp(x, 1062)  # exact: only a power of two
+    got = math.ldexp(largest_eigenvalue(x), 1062)
+    bound = lanczos_bound(6, np.linalg.norm(stored, 2)) + (6**2 + 1) * 2.0**-13
+    assert abs(got - largest_eigval_sturm(stored)) <= bound
+
+
 def _statistic_cases(n):
     root = math.ceil(math.sqrt(n))
     return [
@@ -202,6 +220,37 @@ def test_largest_eigenvalue_grows_its_basis_in_blocks(product):
     assert peak < n * n * 8 / 2
 
 
+def test_calls_on_two_threads_at_once_return_what_each_returns_alone(product):
+    """Two n = 600 matrices, each on its own thread, their Lanczos steps
+    interleaved (the interpreter switching threads every microsecond): no
+    call may read another's scratch, and a GIL-held call never waits on a
+    released one, or the threads would not finish."""
+    xs = [sample_trial(EnsembleSpec(model, 600, strength=strength, seed=21), 0)
+          for model, strength in (("goe", 0.0), ("hidden_clique", 13))]
+    got = ([], [])
+    barrier = threading.Barrier(2)
+
+    def run(i):
+        barrier.wait()
+        for _ in range(3):
+            got[i].append(largest_eigenvalue(xs[i]))
+
+    switch = sys.getswitchinterval()
+    with _one_blas_thread():
+        alone = [largest_eigenvalue(x) for x in xs]
+        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(2)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert got == ([alone[0]] * 3, [alone[1]] * 3)
+
+
 @pytest.mark.parametrize("n", [64, 900])
 def test_an_overflowing_top_eigenvalue_is_a_numerical_failure(n, product):
     """All entries 1e307: at n = 64 every product is finite and the top
@@ -226,7 +275,7 @@ def test_the_symmetric_product_is_bound_wherever_openblas_is():
     if _openblas_threads() is None:
         pytest.skip("no OpenBLAS is loaded in this process")
     lib = _blas.openblas()
-    assert lib.dsymv is not None and spectra._symv() is lib.dsymv
+    assert lib.dsymv is not None and spectra._lanczos_blas() is lib
     wide = "USE64BITINT" in lib.config.split()
     assert all(ctypes.sizeof(lib.dsymv.argtypes[i]) == (8 if wide else 4) for i in (2, 5, 7, 10))
     x = sym_matrix(5, 12)
@@ -235,6 +284,41 @@ def test_the_symmetric_product_is_bound_wherever_openblas_is():
     lib.dsymv(_blas.ROW_MAJOR, _blas.UPPER, 5, 1.0, x.ctypes.data, 5, q.ctypes.data, 1, 0.0, w.ctypes.data, 1)
     # each of the two 5-term sums is within 5 eps sum |x_ij q_j| of the exact one
     assert np.all(np.abs(w - x @ q) <= 2 * 5 * EPS * (np.abs(x) @ np.abs(q)))
+
+
+def test_the_gil_held_step_calls_are_bound_wherever_openblas_is():
+    """A silent fall back to numpy's vector calls would bring back the GIL
+    trading between two Lanczos threads with no other test failing. ddot,
+    daxpy and dgemv take the config string's integer width, each call gives
+    what numpy gives within its rounding bound, and each keeps the GIL while
+    the long dsymv and dstevx release it."""
+    if _openblas_threads() is None:
+        pytest.skip("no OpenBLAS is loaded in this process")
+    lib = _blas.openblas()
+    assert None not in (lib.ddot, lib.daxpy, lib.dgemv) and spectra._lanczos_step_path() == "openblas"
+    size = 8 if "USE64BITINT" in lib.config.split() else 4
+    for fn, positions in ((lib.ddot, (0, 2, 4)), (lib.daxpy, (0, 3, 5)), (lib.dgemv, (2, 3, 6, 8, 11))):
+        assert all(ctypes.sizeof(fn.argtypes[i]) == size for i in positions)
+        assert fn._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+    assert not lib.dsymv._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+    assert not lib.dstevx._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+    rng = np.random.default_rng(17)
+    m, n = 4, 9
+    a, x, y = rng.standard_normal((m, n)), rng.standard_normal(n), rng.standard_normal(n)
+    c = rng.standard_normal(m)
+    # an n-term dot product errs by at most n eps sum |x_i y_i|
+    assert abs(lib.ddot(n, x.ctypes.data, 1, y.ctypes.data, 1) - x @ y) <= 2 * n * EPS * (np.abs(x) @ np.abs(y))
+    # y + 0.75 x: each entry rounded at most twice, so each result within 2 eps (|y| + 0.75 |x|)
+    got = y.copy()
+    lib.daxpy(n, 0.75, x.ctypes.data, 1, got.ctypes.data, 1)
+    assert np.all(np.abs(got - (y + 0.75 * x)) <= 2 * 2 * EPS * (np.abs(y) + 0.75 * np.abs(x)))
+    # A x (NoTrans) and y - A^T c (Trans, beta 1): each entry an n- or (m + 1)-term sum
+    got = np.empty(m)
+    lib.dgemv(_blas.ROW_MAJOR, _blas.NO_TRANS, m, n, 1.0, a.ctypes.data, n, x.ctypes.data, 1, 0.0, got.ctypes.data, 1)
+    assert np.all(np.abs(got - a @ x) <= 2 * n * EPS * (np.abs(a) @ np.abs(x)))
+    got = y.copy()
+    lib.dgemv(_blas.ROW_MAJOR, _blas.TRANS, m, n, -1.0, a.ctypes.data, n, c.ctypes.data, 1, 1.0, got.ctypes.data, 1)
+    assert np.all(np.abs(got - (y - c @ a)) <= 2 * (m + 1) * EPS * (np.abs(y) + np.abs(c) @ np.abs(a)))
 
 
 def test_the_tridiagonal_solver_is_bound_wherever_openblas_is():
@@ -301,7 +385,7 @@ def test_a_tridiagonal_solver_failure_is_a_numerical_failure():
 
 
 @pytest.mark.parametrize("left", [1e-12, 0.5])
-def test_reorthogonalization_leaves_only_rounding_along_the_basis(left):
+def test_reorthogonalization_leaves_only_rounding_along_the_basis(left, product):
     """w mostly inside the span of 10 orthonormal rows, with ``left`` of it
     outside. One classical Gram-Schmidt pass leaves about eps |w| along the
     rows, which next to a remainder of 1e-12 |w| is no longer rounding; the
@@ -315,8 +399,12 @@ def test_reorthogonalization_leaves_only_rounding_along_the_basis(left):
     inside, outside = prior.T @ rng.standard_normal(m), rng.standard_normal(n)
     for _ in range(2):
         outside -= prior.T @ (prior @ outside)
-    w = inside + left * (np.linalg.norm(inside) / np.linalg.norm(outside)) * outside
-    after = spectra._orthogonalize(w, prior, np.empty(n))
+    basis = np.vstack([prior, inside + left * (np.linalg.norm(inside) / np.linalg.norm(outside)) * outside])
+    lib = spectra._lanczos_blas()
+    step = spectra._NumpyStep(np.eye(n)) if lib is None else spectra._BlasStep(lib, np.eye(n))
+    step.rebase(basis)
+    after = spectra._orthogonalize(step, m)
+    w = basis[m]
     assert after == w @ w
     bound = (n * math.sqrt(m) + (m + 1) * (1 + math.sqrt(m))) * EPS * math.sqrt(2.0 * after)
     assert np.max(np.abs(prior @ w)) <= bound
